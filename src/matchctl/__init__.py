@@ -10,11 +10,11 @@ from .characteristics import (CharacteristicGrid, complete_metric_rows,
                               flow_map, row_identity_check,
                               transport_target_data)
 from .errors import MatchctlError
-from .fields import DissipationField, MatrixField, ScalarField, VectorField
+from .fields import DissipationField, Field, ScalarField
 from .geometry import Box, MechanicalSystem, State
-from .matching import (CompatibilitySystem, MatchingReport, OverlapField,
-                       RatioField, assemble_compatibility, matching_residual,
-                       scaling_solution, transport_residual)
+from .matching import (CompatibilitySystem, assemble_compatibility,
+                       matching_residual, scaling_solution,
+                       transport_residual)
 from .synthesis import (Linearization, Trajectory, control_law,
                         linearize_closed_loop, lyapunov_audit,
                         matched_controller, simulate, trajectory_csv)
@@ -27,18 +27,14 @@ __all__ = [
     "CharacteristicGrid",
     "CompatibilitySystem",
     "DissipationField",
+    "Field",
     "Linearization",
     "MatchctlError",
-    "MatchingReport",
-    "MatrixField",
     "MechanicalSystem",
-    "OverlapField",
-    "RatioField",
     "ScalarField",
     "State",
     "TargetSystem",
     "Trajectory",
-    "VectorField",
     "assemble_compatibility",
     "complete_metric_rows",
     "control_law",

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (AsymmetryError, DomainError, ScopeError,
                      SingularFieldError, SingularLocusError,
                      TransversalityError)
+from .fields import Field
 from .geometry import MechanicalSystem
-from .matching import RatioField
+from .rk4 import rk4_span, rk4_step
 
 STEP_LIMIT = 10_000_000
 FIELD_FLOOR = 1e-12
@@ -31,7 +32,7 @@ POTENTIAL_RESIDUAL_WARN = 1e-6
 PLANE_HIT_TOL = 1e-10
 
 
-def _drive_row(ratio: RatioField, x: np.ndarray) -> np.ndarray:
+def _drive_row(ratio: Field, x: np.ndarray) -> np.ndarray:
     """First ratio row as the flow velocity, guarded against vanishing."""
     v = ratio.value(x)[0]
     norm = float(np.linalg.norm(v))
@@ -41,15 +42,7 @@ def _drive_row(ratio: RatioField, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def _rk4_step(f, x, h):
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def flow_map(ratio: RatioField, x0, t: float, dt: float = 1e-3) -> np.ndarray:
+def flow_map(ratio: Field, x0, t: float, dt: float = 1e-3) -> np.ndarray:
     """Advance x0 by time t along the first ratio row.
 
     Classical fixed-step 4th-order integration; the final step is
@@ -57,23 +50,16 @@ def flow_map(ratio: RatioField, x0, t: float, dt: float = 1e-3) -> np.ndarray:
     when |t|/dt would exceed the step budget and SingularFieldError if
     the row vanishes en route.
     """
-    x = np.asarray(x0, dtype=float).copy()
     if dt <= 0.0:
         raise DomainError("flow step dt must be positive")
     if abs(t) / dt > STEP_LIMIT:
         raise DomainError("flow horizon %.3g needs more than %d steps at dt=%.3g"
                           % (t, STEP_LIMIT, dt))
-    remaining = float(t)
-    sgn = 1.0 if t >= 0.0 else -1.0
-    vel = lambda y: _drive_row(ratio, y)
-    while abs(remaining) > 1e-15:
-        h = sgn * min(dt, abs(remaining))
-        x = _rk4_step(vel, x, h)
-        remaining -= h
-    return x
+    return rk4_span(lambda y: _drive_row(ratio, y),
+                    np.array(x0, dtype=float), t, dt)
 
 
-def complete_metric_rows(sys: MechanicalSystem, ratio: RatioField,
+def complete_metric_rows(sys: MechanicalSystem, ratio: Field,
                          block, x) -> np.ndarray:
     """Fill the unactuated rows of the shaped kinetic matrix at x.
 
@@ -134,7 +120,7 @@ class CharacteristicGrid:
     plane_value: float
     seed_axes: tuple                 # coordinate axes spanning the seed lattice
     seed_values: tuple               # 1-D sorted coordinate arrays, one per axis
-    field: RatioField
+    field: Field
     dt: float
     residual_metric: float           # worst transport-equation defect at interior nodes
     residual_potential: float
@@ -217,7 +203,7 @@ def _line_weights(vals: np.ndarray, c: float):
     return ((i - 1, 1.0 - w), (i, w))
 
 
-def _plane_time(ratio: RatioField, x: np.ndarray, axis: int, value: float,
+def _plane_time(ratio: Field, x: np.ndarray, axis: int, value: float,
                 dt: float, t_lo: float, t_hi: float):
     """Flow time of x measured from the seed plane, plus the plane point.
 
@@ -240,7 +226,7 @@ def _plane_time(ratio: RatioField, x: np.ndarray, axis: int, value: float,
 
     u, cur, g_cur = 0.0, x.copy(), gap
     while abs(u) <= budget:
-        nxt = _rk4_step(vel, cur, direction * dt)
+        nxt = rk4_step(vel, cur, direction * dt)
         g_nxt = float(nxt[axis] - value)
         if abs(g_nxt) <= PLANE_HIT_TOL:
             return -(u + direction * dt), nxt
@@ -248,7 +234,7 @@ def _plane_time(ratio: RatioField, x: np.ndarray, axis: int, value: float,
             lo, hi = 0.0, dt
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                probe = _rk4_step(vel, cur, direction * mid)
+                probe = rk4_step(vel, cur, direction * mid)
                 g_mid = float(probe[axis] - value)
                 if abs(g_mid) <= PLANE_HIT_TOL:
                     break
@@ -288,7 +274,7 @@ def _seed_lattice(anchor: np.ndarray, plane_axis: int, seed_values, n: int):
     return pts, tuple(axes), tuple(vals)
 
 
-def transport_target_data(sys: MechanicalSystem, ratio: RatioField,
+def transport_target_data(sys: MechanicalSystem, ratio: Field,
                           initial_block, initial_potential, *,
                           anchor, times, seed_values, plane_axis: int = 0,
                           dt: float = 1e-3) -> CharacteristicGrid:
@@ -346,20 +332,18 @@ def transport_target_data(sys: MechanicalSystem, ratio: RatioField,
     metric = np.zeros((k, T, n, n))
     potential = np.zeros((k, T))
 
+    carry = _carry_rhs(sys, ratio)
     for i, p in enumerate(seeds):
         gh0 = complete_metric_rows(sys, ratio, initial_block(p), p)
-        vh0 = float(initial_potential(p))
-        states[i, j0], metric[i, j0], potential[i, j0] = p, gh0, vh0
-        x, gh, vh = p.copy(), gh0.copy(), vh0
-        for j in range(j0 + 1, T):
-            x, gh, vh = _carry(sys, ratio, x, gh, vh,
-                               times[j] - times[j - 1], dt)
-            states[i, j], metric[i, j], potential[i, j] = x, gh, vh
-        x, gh, vh = p.copy(), gh0.copy(), vh0
-        for j in range(j0 - 1, -1, -1):
-            x, gh, vh = _carry(sys, ratio, x, gh, vh,
-                               times[j] - times[j + 1], dt)
-            states[i, j], metric[i, j], potential[i, j] = x, gh, vh
+        z0 = np.concatenate((p, gh0.ravel(), [float(initial_potential(p))]))
+        states[i, j0], metric[i, j0], potential[i, j0] = p, gh0, z0[-1]
+        for stored in (range(j0 + 1, T), range(j0 - 1, -1, -1)):
+            z, prev = z0, j0
+            for j in stored:
+                z = rk4_span(carry, z, times[j] - times[prev], dt)
+                states[i, j], potential[i, j] = z[:n], z[-1]
+                metric[i, j] = z[n:-1].reshape(n, n)
+                prev = j
 
     res_g, res_v = _transport_defect(sys, ratio, times, states,
                                      metric, potential)
@@ -384,32 +368,25 @@ def transport_target_data(sys: MechanicalSystem, ratio: RatioField,
         warnings=tuple(warnings))
 
 
-def _carry(sys, ratio, x, gh, vh, span, dt):
-    """One stored-node hop of the coupled (position, metric, potential) system.
+def _carry_rhs(sys, ratio):
+    """Right side of the coupled (position, metric, potential) system.
 
+    The state packs x, the rows of gh and vh into one vector.
     d(gh)/dt = d0(g)(x) - J^T gh - gh J with J the Jacobian of the
     transport row, d(vh)/dt the unactuated potential slope; both follow
     from contracting the compatibility equations with the row.
     """
-    def rhs(x_, gh_, vh_):
-        lam = _drive_row(ratio, x_)
-        jac = ratio.derivative(x_)[0]
-        dg0 = sys.metric.derivative(x_)[:, :, 0]
-        return lam, dg0 - jac.T @ gh_ - gh_ @ jac, sys.potential.gradient(x_)[0]
+    n = sys.n
 
-    remaining = float(span)
-    sgn = 1.0 if span >= 0.0 else -1.0
-    while abs(remaining) > 1e-15:
-        h = sgn * min(dt, abs(remaining))
-        ax, ag, av = rhs(x, gh, vh)
-        bx, bg, bv = rhs(x + 0.5 * h * ax, gh + 0.5 * h * ag, vh + 0.5 * h * av)
-        cx, cg, cv = rhs(x + 0.5 * h * bx, gh + 0.5 * h * bg, vh + 0.5 * h * bv)
-        dx, dg, dv = rhs(x + h * cx, gh + h * cg, vh + h * cv)
-        x = x + (h / 6.0) * (ax + 2.0 * bx + 2.0 * cx + dx)
-        gh = gh + (h / 6.0) * (ag + 2.0 * bg + 2.0 * cg + dg)
-        vh = vh + (h / 6.0) * (av + 2.0 * bv + 2.0 * cv + dv)
-        remaining -= h
-    return x, gh, vh
+    def rhs(z):
+        x, gh = z[:n], z[n:-1].reshape(n, n)
+        lam = _drive_row(ratio, x)
+        jac = ratio.derivative(x)[0]
+        dg0 = sys.metric.derivative(x)[:, :, 0]
+        return np.concatenate((lam, (dg0 - jac.T @ gh - gh @ jac).ravel(),
+                               [sys.potential.gradient(x)[0]]))
+
+    return rhs
 
 
 def _time_slope(series, times, j):
@@ -492,7 +469,7 @@ class RowIdentityReport:
                    self.worst_seed, self.worst_time))
 
 
-def row_identity_check(sys: MechanicalSystem, ratio: RatioField,
+def row_identity_check(sys: MechanicalSystem, ratio: Field,
                        grid: CharacteristicGrid,
                        tol: float = 1e-7) -> RowIdentityReport:
     """Evaluate the row identity at every grid node; verdict, not exception.

@@ -18,9 +18,9 @@ import numpy as np
 from .config import (COMMANDS, RunConfig, load_config, override_key,
                      parse_config, with_overrides)
 from .errors import BlowUpError, ConfigError, MatchctlError
+from .fields import Field
 from .geometry import State
-from .matching import (RatioField, matching_residual, rank_condition,
-                       transport_residual)
+from .matching import matching_residual, rank_condition, transport_residual
 from .synthesis import (linearize_closed_loop, lyapunov_audit,
                         matched_controller, shaped_energy, simulate,
                         trajectory_csv)
@@ -46,13 +46,13 @@ def _sample_points(cfg: RunConfig, rng) -> np.ndarray:
                                 size=(cfg.run.samples, cfg.fixture.system.n))
 
 
-def _offset_ratio(ratio: RatioField, offset: float) -> RatioField:
+def _offset_ratio(ratio: Field, offset: float) -> Field:
     """Corruption probe: shift one off-leading entry of the first row."""
     def val(x):
         r = ratio.value(x).copy()
         r[0, 1] += offset
         return r
-    return RatioField(val, ratio.derivative)
+    return Field(val, ratio.derivative)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

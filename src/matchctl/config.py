@@ -14,8 +14,9 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, MatchctlError
+from .fields import Field
 from .geometry import Box, MechanicalSystem
-from .matching import OverlapField, RatioField, scaling_solution
+from .matching import scaling_solution
 from .shapes import Profile, profile_from_spec
 from .systems.double_pendulum import chained_pendulums, terminal_family
 from .systems.pendulum import PendulumParams, pendulum_fixture
@@ -118,8 +119,8 @@ class FixtureBundle:
 
     name: str
     system: MechanicalSystem
-    ratio: RatioField | None
-    overlap: OverlapField | None
+    ratio: Field | None
+    overlap: Field | None
     target: TargetSystem | None
     equilibrium: np.ndarray
     detail: dict
@@ -322,7 +323,7 @@ class RunConfig:
     sweep: SweepSpec | None
     raw: dict
 
-    def resolved_target(self) -> tuple[RatioField, TargetSystem]:
+    def resolved_target(self) -> tuple[Field, TargetSystem]:
         """Ratio and target the synthesis commands should drive toward.
 
         The fixture's closed-form pair when it ships one and no scale is

@@ -58,9 +58,5 @@ class AsymmetryError(MatchctlError):
     """A reconstruction that must produce a symmetric matrix did not."""
 
 
-class DepthExceededError(MatchctlError):
-    """An iterative closure did not terminate within the allowed depth."""
-
-
 class ConfigError(MatchctlError):
     """A run configuration failed schema validation; message carries the key path."""

@@ -1,12 +1,11 @@
 """Smooth fields with derivative access.
 
-Every geometric object the package manipulates is a field: a scalar,
-vector, or matrix function of the configuration point that can also report
-its first derivatives.  Derivatives come from one of three engines:
-
-* explicit analytic callables (the example systems hand-code these),
-* forward-mode dual numbers (default for fields built from one callable),
-* central finite differences (fallback, and the cross-check oracle).
+Every geometric object the package manipulates is a field: a function of
+the configuration point that can also report its first derivatives.  A
+field's derivative comes from an explicit callable when one is given
+(the example systems hand-code these) and from central finite
+differences otherwise; the differences also serve as the cross-check
+oracle in the tests.
 """
 from __future__ import annotations
 
@@ -14,27 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import dualnum as dn
 from .errors import DomainError
 
 FD_STEP = 1e-6
 
 
-# ---------------------------------------------------------------------------
-# finite-difference helpers (also used directly by tests as oracles)
-
-def fd_gradient(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    g = np.zeros(x.size)
-    for k in range(x.size):
-        e = np.zeros(x.size)
-        e[k] = step
-        g[k] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return g
-
-
-def fd_jacobian(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Jacobian J[i, k] = d fn_i / d x_k of a vector-valued callable."""
+def fd_derivative(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Central differences D[..., k] = d fn / d x_k; shape fn's output plus (n,)."""
     x = np.asarray(x, dtype=float)
     cols = []
     for k in range(x.size):
@@ -45,157 +30,54 @@ def fd_jacobian(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarra
     return np.stack(cols, axis=-1)
 
 
-def fd_matrix_derivative(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """D[i, j, k] = d fn_ij / d x_k for a matrix-valued callable."""
-    x = np.asarray(x, dtype=float)
-    sl = []
-    for k in range(x.size):
-        e = np.zeros(x.size)
-        e[k] = step
-        sl.append((np.asarray(fn(x + e), dtype=float)
-                   - np.asarray(fn(x - e), dtype=float)) / (2.0 * step))
-    return np.stack(sl, axis=-1)
+class Field:
+    """x -> array of shape (...out) with derivative D[..., k] = d value / d x_k.
 
+    Matrix fields (kinetic matrices), ratio rows (m, n), overlap data
+    (m, m) and flow directions (k,) are all of this one kind.
+    """
 
-# ---------------------------------------------------------------------------
-# dual-number engines
-
-def dual_gradient(fn: Callable, x: np.ndarray) -> np.ndarray:
-    n = np.asarray(x, dtype=float).size
-    out = fn(dn.seed(x))
-    return dn.grad(out, n)
-
-
-def dual_jacobian(fn: Callable, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    rows = fn(dn.seed(x))
-    return np.stack([dn.grad(r, x.size) for r in rows])
-
-
-def dual_matrix_derivative(fn: Callable, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    entries = fn(dn.seed(x))
-    m = len(entries)
-    out = np.zeros((m, len(entries[0]), n))
-    for i in range(m):
-        for j in range(len(entries[0])):
-            out[i, j] = dn.grad(entries[i][j], n)
-    return out
-
-
-def _dual_value_matrix(entries) -> np.ndarray:
-    return np.array([[dn.value(e) for e in row] for row in entries], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# field classes
-
-class ScalarField:
-    """x -> float with gradient access."""
-
-    def __init__(self, value: Callable, gradient: Callable | None = None,
-                 mode: str = "dual", step: float = FD_STEP):
-        self._value = value
-        self._gradient = gradient
-        self._mode = mode
-        self._step = step
-
-    def __call__(self, x) -> float:
-        v = self._value(np.asarray(x, dtype=float))
-        return float(dn.value(v))
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._gradient is not None:
-            return np.asarray(self._gradient(x), dtype=float)
-        if self._mode == "dual":
-            return dual_gradient(self._value, x)
-        return fd_gradient(lambda p: dn.value(self._value(p)), x, self._step)
-
-    @classmethod
-    def constant(cls, c: float):
-        c = float(c)
-        return cls(lambda x: c, lambda x: np.zeros(np.asarray(x).size))
-
-    @classmethod
-    def from_fd(cls, value: Callable, step: float = FD_STEP):
-        return cls(value, mode="fd", step=step)
-
-
-class MatrixField:
-    """x -> (n, n) matrix with the derivative tensor D[i, j, k] = d g_ij / d x_k."""
-
-    def __init__(self, value: Callable, derivative: Callable | None = None,
-                 mode: str = "dual", step: float = FD_STEP):
+    def __init__(self, value: Callable, derivative: Callable | None = None):
         self._value = value
         self._derivative = derivative
-        self._mode = mode
-        self._step = step
 
     def value(self, x) -> np.ndarray:
-        out = self._value(np.asarray(x, dtype=float))
-        if isinstance(out, np.ndarray) and out.dtype != object:
-            return np.asarray(out, dtype=float)
-        return _dual_value_matrix(out)
+        return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
 
     def derivative(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._derivative is not None:
             return np.asarray(self._derivative(x), dtype=float)
-        if self._mode == "dual":
-            return dual_matrix_derivative(self._value, x)
-        return fd_matrix_derivative(self.value, x, self._step)
+        return fd_derivative(self.value, x)
 
     @classmethod
-    def constant(cls, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=float)
-        n = mat.shape[0]
-        return cls(lambda x: mat, lambda x: np.zeros((n, n, np.asarray(x).size)))
-
-    @classmethod
-    def from_fd(cls, value: Callable, step: float = FD_STEP):
-        return cls(value, mode="fd", step=step)
+    def constant(cls, value):
+        value = np.array(value, dtype=float)
+        return cls(lambda x: value,
+                   lambda x: np.zeros(value.shape + (np.asarray(x).size,)))
 
 
-class VectorField:
-    """x -> (k,) vector with Jacobian access; used for flow directions."""
+class ScalarField(Field):
+    """x -> float; potentials are called as f(x) and f.gradient(x)."""
 
-    def __init__(self, value: Callable, jacobian: Callable | None = None,
-                 mode: str = "dual", step: float = FD_STEP):
-        self._value = value
-        self._jacobian = jacobian
-        self._mode = mode
-        self._step = step
+    def __init__(self, value: Callable, gradient: Callable | None = None):
+        super().__init__(value, gradient)
 
-    def value(self, x) -> np.ndarray:
-        out = self._value(np.asarray(x, dtype=float))
-        if isinstance(out, np.ndarray) and out.dtype != object:
-            return np.asarray(out, dtype=float)
-        return np.array([dn.value(c) for c in out], dtype=float)
+    def __call__(self, x) -> float:
+        return float(self.value(x))
 
-    def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(x), dtype=float)
-        if self._mode == "dual":
-            return dual_jacobian(self._value, x)
-        return fd_jacobian(self.value, x, self._step)
-
-    @classmethod
-    def from_fd(cls, value: Callable, step: float = FD_STEP):
-        return cls(value, mode="fd", step=step)
+    def gradient(self, x) -> np.ndarray:
+        return self.derivative(x)
 
 
 class DissipationField:
     """(x, xdot) -> (n,) velocity-dependent force with both Jacobians."""
 
     def __init__(self, value: Callable, jac_x: Callable | None = None,
-                 jac_v: Callable | None = None, step: float = FD_STEP):
+                 jac_v: Callable | None = None):
         self._value = value
         self._jac_x = jac_x
         self._jac_v = jac_v
-        self._step = step
 
     def __call__(self, x, v) -> np.ndarray:
         out = np.asarray(self._value(np.asarray(x, dtype=float),
@@ -209,14 +91,14 @@ class DissipationField:
         v = np.asarray(v, dtype=float)
         if self._jac_x is not None:
             return np.asarray(self._jac_x(x, v), dtype=float)
-        return fd_jacobian(lambda p: self._value(p, v), x, self._step)
+        return fd_derivative(lambda p: self._value(p, v), x)
 
     def jac_v(self, x, v) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if self._jac_v is not None:
             return np.asarray(self._jac_v(x, v), dtype=float)
-        return fd_jacobian(lambda w: self._value(x, w), v, self._step)
+        return fd_derivative(lambda w: self._value(x, w), v)
 
     @classmethod
     def zero(cls, n: int):

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, SingularMetricError
-from .fields import DissipationField, MatrixField, ScalarField
+from .fields import DissipationField, Field, ScalarField
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class MechanicalSystem:
 
     n: int
     m: int
-    metric: MatrixField
+    metric: Field
     potential: ScalarField
     dissipation: DissipationField
     params: Mapping[str, float] = field(default_factory=dict)
@@ -103,17 +103,6 @@ class MechanicalSystem:
                 f"metric is not positive definite at x={np.asarray(x)}") from exc
 
 
-@dataclass(frozen=True)
-class ChristoffelFirst:
-    """Symmetrized metric derivative bracket G[i, j, k], symmetric in (i, j)."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def christoffel_from_derivative(d: np.ndarray) -> np.ndarray:
     """vals[i,j,k] = (d g_jk/dx^i + d g_ik/dx^j - d g_ij/dx^k) / 2.
 
@@ -123,17 +112,17 @@ def christoffel_from_derivative(d: np.ndarray) -> np.ndarray:
     return 0.5 * (np.transpose(d, (2, 0, 1)) + np.transpose(d, (0, 2, 1)) - d)
 
 
-def christoffel_first(sys: MechanicalSystem, x) -> ChristoffelFirst:
-    """First-kind symbols of the plant metric at x."""
+def christoffel_first(sys: MechanicalSystem, x) -> np.ndarray:
+    """First-kind symbols G[i, j, k] of the plant metric at x."""
     d = sys.metric.derivative(x)  # d[i, j, k] = d g_ij / d x_k
     if not np.all(np.isfinite(d)):
         raise DomainError("metric derivative has non-finite entries")
-    return ChristoffelFirst(christoffel_from_derivative(d))
+    return christoffel_from_derivative(d)
 
 
-def quadratic_velocity_force(gamma: ChristoffelFirst, xdot: np.ndarray) -> np.ndarray:
+def quadratic_velocity_force(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     """Vector with components G[j,k,r] xd^j xd^k."""
-    return np.einsum("jkr,j,k->r", gamma.values, xdot, xdot)
+    return np.einsum("jkr,j,k->r", gamma, xdot, xdot)
 
 
 def acceleration(sys: MechanicalSystem, s: State, u: np.ndarray) -> np.ndarray:
@@ -172,7 +161,7 @@ def rescale_coordinates(sys: MechanicalSystem, scales) -> MechanicalSystem:
     def back(xt):
         return np.asarray(xt, dtype=float) * dinv
 
-    met = MatrixField(
+    met = Field(
         lambda xt: sys.metric.value(back(xt)) * np.outer(dinv, dinv),
         lambda xt: sys.metric.derivative(back(xt))
         * np.outer(dinv, dinv)[:, :, None] * dinv[None, None, :])

@@ -19,127 +19,33 @@ fields under commutators.
 """
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
                      ScopeError)
-from .fields import (MatrixField, ScalarField, VectorField, fd_jacobian,
-                     fd_matrix_derivative, scale_dissipation)
+from .fields import Field, ScalarField, fd_derivative, scale_dissipation
 from .geometry import (MechanicalSystem, christoffel_first,
-                       christoffel_from_derivative)
+                       christoffel_from_derivative, quadratic_velocity_force)
 from .targets import TargetSystem
 
 KERNEL_TOL_FACTOR = 1e-10
 
 
-# ---------------------------------------------------------------------------
-# candidate fields
-
-class RatioField:
-    """Unactuated rows of the plant-to-target kinetic ratio, with derivatives.
-
-    derivative(x)[a, i, k] = d r_a^i / d x_k.
-    """
-
-    def __init__(self, value: Callable, derivative: Callable | None = None,
-                 step: float = 1e-6):
-        self._value = value
-        self._derivative = derivative
-        self._step = step
-
-    def value(self, x) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self._value(np.asarray(x, dtype=float)),
-                                        dtype=float))
-
-    def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._derivative is not None:
-            return np.asarray(self._derivative(x), dtype=float)
-        return fd_matrix_derivative(self.value, x, self._step)
-
-    def row(self, x, a: int = 0) -> np.ndarray:
-        return self.value(x)[a]
-
-    @classmethod
-    def constant(cls, mat) -> "RatioField":
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        m, n = mat.shape
-
-        def deriv(x):
-            return np.zeros((m, n, np.asarray(x).size))
-
-        return cls(lambda x: mat, deriv)
-
-    @classmethod
-    def from_row(cls, vf: VectorField) -> "RatioField":
-        """Single-unactuated-coordinate case: one row with its Jacobian."""
-        return cls(lambda x: vf.value(x)[None, :],
-                   lambda x: vf.jacobian(x)[None, :, :])
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Contractions s_ab = g_ai r_b^i at one point; symmetric for a true ratio."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.atleast_2d(
-            np.asarray(self.values, dtype=float)))
-
-    def symmetry_defect(self) -> float:
-        v = self.values
-        return float(np.max(np.abs(v - v.T)))
-
-
-class OverlapField:
-    """Overlap data as a field: value (m, m), derivative (m, m, n)."""
-
-    def __init__(self, value: Callable, derivative: Callable | None = None,
-                 step: float = 1e-6):
-        self._value = value
-        self._derivative = derivative
-        self._step = step
-
-    def value(self, x) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self._value(np.asarray(x, dtype=float)),
-                                        dtype=float))
-
-    def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._derivative is not None:
-            return np.asarray(self._derivative(x), dtype=float)
-        return fd_matrix_derivative(self.value, x, self._step)
-
-    @classmethod
-    def from_scalar(cls, f: ScalarField) -> "OverlapField":
-        return cls(lambda x: np.array([[f(x)]]),
-                   lambda x: f.gradient(x)[None, None, :])
-
-
-def _as_overlap_field(data) -> OverlapField:
-    if isinstance(data, OverlapField):
-        return data
-    if isinstance(data, ScalarField):
-        return OverlapField.from_scalar(data)
-    raise DomainError("overlap data must be a ScalarField (m = 1) or an OverlapField")
-
-
-def overlap_matrix(sys: MechanicalSystem, ratio: RatioField, x) -> OverlapMatrix:
+def overlap_matrix(sys: MechanicalSystem, ratio: Field, x) -> np.ndarray:
+    """Contractions s_ab = g_ai r_b^i at x; symmetric for a true ratio."""
     g = sys.metric_at(x)
     rv = ratio.value(x)
-    return OverlapMatrix(g[:sys.m, :] @ rv.T)  # s[a, b] = g_ai r_b^i
+    return g[:sys.m, :] @ rv.T
 
 
 # ---------------------------------------------------------------------------
 # residuals
 
-def transport_residual(sys: MechanicalSystem, ratio: RatioField, x) -> np.ndarray:
+def transport_residual(sys: MechanicalSystem, ratio: Field, x) -> np.ndarray:
     """Defect R[k, a, b] of the transport equations for a candidate ratio field.
 
     R[k, a, b] = d_k (g_ai r_b^i) - G[k,a,i] r_b^i - G[k,b,i] r_a^i,
@@ -149,7 +55,7 @@ def transport_residual(sys: MechanicalSystem, ratio: RatioField, x) -> np.ndarra
     m = sys.m
     g = sys.metric_at(x)
     dg = sys.metric.derivative(x)
-    gam = christoffel_first(sys, x).values
+    gam = christoffel_first(sys, x)
     rv = ratio.value(x)
     dr = ratio.derivative(x)
     if rv.shape != (m, sys.n):
@@ -161,7 +67,7 @@ def transport_residual(sys: MechanicalSystem, ratio: RatioField, x) -> np.ndarra
     return ds - contraction - np.transpose(contraction, (0, 2, 1))
 
 
-def matching_residual(sys: MechanicalSystem, ratio: RatioField | None,
+def matching_residual(sys: MechanicalSystem, ratio: Field | None,
                       target: TargetSystem, s) -> np.ndarray:
     """Per unactuated index, the force the law would need on an unactuated axis.
 
@@ -176,10 +82,10 @@ def matching_residual(sys: MechanicalSystem, ratio: RatioField | None,
         rmat = (g @ target.metric_inv(x))[:m, :]
     else:
         rmat = ratio.value(x)
-    gam = christoffel_first(sys, x).values
+    gam = christoffel_first(sys, x)
     gamt = christoffel_from_derivative(target.metric.derivative(x))
     quad = np.einsum("jka,j,k->a", gam[:, :, :m], xd, xd)
-    quad_t = np.einsum("jkr,j,k->r", gamt, xd, xd)
+    quad_t = quadratic_velocity_force(gamt, xd)
     cvec = sys.dissipation(x, xd)
     ctvec = target.dissipation(x, xd)
     dv = sys.potential.gradient(x)
@@ -226,7 +132,7 @@ def _elimination_data(sys: MechanicalSystem, x):
     """Shared pieces: metric, brackets, actuated-block inverse, reduced brackets."""
     m = sys.m
     g = sys.metric_at(x)
-    gam = christoffel_first(sys, x).values
+    gam = christoffel_first(sys, x)
     h = np.linalg.inv(g[:m, :m])  # principal block of an SPD matrix: invertible
     # reduced[k, a, rho] = G[k,a,rho] - G[k,a,beta] h[beta,d] g[d,rho]
     reduced = (gam[:, :m, m:]
@@ -262,16 +168,15 @@ def assemble_compatibility(sys: MechanicalSystem, x) -> CompatibilitySystem:
                                n=sys.n, m=sys.m)
 
 
-def compatibility_rhs(sys: MechanicalSystem, overlap, x) -> np.ndarray:
+def compatibility_rhs(sys: MechanicalSystem, overlap: Field, x) -> np.ndarray:
     """Right-hand side F at x for the overlap data (same row order and scaling as A)."""
-    ov = _as_overlap_field(overlap)
     m, n = sys.m, sys.n
-    if ov.value(x).shape != (m, m):
+    sv = overlap.value(x)
+    if sv.shape != (m, m):
         raise DomainError("overlap data has the wrong shape for this system")
     pairs = _pairs(m)
     _, gam, h, _ = _elimination_data(sys, x)
-    sv = ov.value(x)
-    ds = ov.derivative(x)  # [a, b, k]
+    ds = overlap.derivative(x)  # [a, b, k]
     coupled = np.einsum("kab,bd,dc->kac", gam[:, :m, :m], h, sv)  # [k, a, c]
     F = np.zeros(n * len(pairs))
     for k in range(n):
@@ -370,7 +275,7 @@ def recover_ratio(sys: MechanicalSystem, overlap, x,
                 raise DomainError(f"pin on component {rho} is unreachable in ker A")
         rest = adjusted
     g = sys.metric_at(x)
-    sval = _as_overlap_field(overlap).value(x)[0, 0]
+    sval = overlap.value(x)[0, 0]
     row = np.empty(sys.n)
     row[1:] = rest
     row[0] = (sval - g[0, 1:] @ rest) / g[0, 0]
@@ -378,7 +283,7 @@ def recover_ratio(sys: MechanicalSystem, overlap, x,
 
 
 def actuated_block_matrix_field(sys: MechanicalSystem, block_value: Callable,
-                                block_derivative: Callable | None = None) -> MatrixField:
+                                block_derivative: Callable | None = None) -> Field:
     """Embed a symmetric field on the actuated coordinates into full shape.
 
     block_value maps the actuated subvector x[m:] to an (n-m, n-m) matrix;
@@ -399,11 +304,10 @@ def actuated_block_matrix_field(sys: MechanicalSystem, block_value: Callable,
         if block_derivative is not None:
             out[m:, m:, m:] = np.asarray(block_derivative(xa), dtype=float)
         else:
-            out[m:, m:, m:] = fd_matrix_derivative(
-                lambda z: np.asarray(block_value(z), dtype=float), xa)
+            out[m:, m:, m:] = fd_derivative(block_value, xa)
         return out
 
-    return MatrixField(val, deriv)
+    return Field(val, deriv)
 
 
 def actuated_scalar_field(sys: MechanicalSystem, value: Callable,
@@ -420,20 +324,19 @@ def actuated_scalar_field(sys: MechanicalSystem, value: Callable,
         if gradient is not None:
             out[m:] = np.asarray(gradient(xa), dtype=float)
         else:
-            from .fields import fd_gradient
-            out[m:] = fd_gradient(value, xa)
+            out[m:] = fd_derivative(value, xa)
         return out
 
     return ScalarField(val, grad)
 
 
 def scaling_solution(sys: MechanicalSystem, scale: float,
-                     kinetic_extra: MatrixField | None = None,
+                     kinetic_extra: Field | None = None,
                      potential_extra: ScalarField | None = None,
                      check_positivity: bool = True,
                      positivity_samples: int = 64,
                      rng: np.random.Generator | None = None
-                     ) -> tuple[RatioField, TargetSystem]:
+                     ) -> tuple[Field, TargetSystem]:
     """The one-parameter diagonal family: ratio = scale * [I | 0].
 
     Target: metric = g / scale + extra, potential = V / scale + extra,
@@ -444,14 +347,14 @@ def scaling_solution(sys: MechanicalSystem, scale: float,
     if scale == 0.0:
         raise DomainError("the scaling parameter must be nonzero")
     m, n = sys.m, sys.n
-    ratio = RatioField.constant(np.hstack([np.eye(m), np.zeros((m, n - m))]) * scale)
+    ratio = Field.constant(np.hstack([np.eye(m), np.zeros((m, n - m))]) * scale)
 
     if kinetic_extra is None:
-        tmetric = MatrixField(lambda x: sys.metric.value(x) / scale,
+        tmetric = Field(lambda x: sys.metric.value(x) / scale,
                               lambda x: sys.metric.derivative(x) / scale)
     else:
         _validate_actuated_structure(sys, kinetic_extra)
-        tmetric = MatrixField(
+        tmetric = Field(
             lambda x: sys.metric.value(x) / scale + kinetic_extra.value(x),
             lambda x: sys.metric.derivative(x) / scale + kinetic_extra.derivative(x))
     if potential_extra is None:
@@ -481,7 +384,7 @@ def scaling_solution(sys: MechanicalSystem, scale: float,
     return ratio, target
 
 
-def _validate_actuated_structure(sys: MechanicalSystem, extra: MatrixField,
+def _validate_actuated_structure(sys: MechanicalSystem, extra: Field,
                                  tol: float = 1e-9) -> None:
     m = sys.m
     probes = [np.zeros(sys.n)]
@@ -507,16 +410,16 @@ class ClosureResult:
     closed: bool
 
 
-def commutator(f1: VectorField, f2: VectorField) -> VectorField:
+def commutator(f1: Field, f2: Field) -> Field:
     """Lie bracket [f1, f2]^k = f1^i d_i f2^k - f2^i d_i f1^k."""
 
     def val(x):
-        return f2.jacobian(x) @ f1.value(x) - f1.jacobian(x) @ f2.value(x)
+        return f2.derivative(x) @ f1.value(x) - f1.derivative(x) @ f2.value(x)
 
-    return VectorField(val, jacobian=lambda x: fd_jacobian(val, x))
+    return Field(val)
 
 
-def _in_span(fields, candidate: VectorField, points, tol: float) -> bool:
+def _in_span(fields, candidate: Field, points, tol: float) -> bool:
     for p in points:
         S = np.stack([f.value(p) for f in fields], axis=1)
         w = candidate.value(p)
@@ -553,7 +456,7 @@ def involutive_closure(fields, points, max_depth: int = 3,
     return ClosureResult(tuple(current), added_total, max_depth, False)
 
 
-def kernel_direction_fields(sys: MechanicalSystem, x0) -> list[VectorField]:
+def kernel_direction_fields(sys: MechanicalSystem, x0) -> list[Field]:
     """Coordinate-direction fields spanning the left kernel of A at the anchor.
 
     For one unactuated coordinate the rows of A correspond to coordinate
@@ -565,36 +468,4 @@ def kernel_direction_fields(sys: MechanicalSystem, x0) -> list[VectorField]:
     if sys.m != 1:
         raise ScopeError("kernel direction fields are defined for m = 1")
     comp = assemble_compatibility(sys, np.asarray(x0, dtype=float))
-    n = sys.n
-    out = []
-    for col in comp.kernel_basis.T:
-        vec = np.array(col, dtype=float)
-        out.append(VectorField(lambda x, v=vec: v,
-                               jacobian=lambda x, n=n: np.zeros((n, n))))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# report container
-
-@dataclass
-class MatchingReport:
-    """Serializable summary of a verification run."""
-
-    fixture: str = ""
-    seed: int | None = None
-    residual_max: dict = field(default_factory=dict)
-    residual_worst_index: dict = field(default_factory=dict)
-    rank_profile: list = field(default_factory=list)
-    kernel_dims: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(bool(v) for v in self.verdicts.values())
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["passed"] = self.passed
-        return json.dumps(payload, sort_keys=True, indent=2)
+    return [Field.constant(col) for col in comp.kernel_basis.T]

@@ -23,16 +23,16 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, MatchctlError,
                      NotAnEquilibriumError, ScopeError, SingularTargetError)
-from .fields import fd_jacobian
-from .geometry import (ChristoffelFirst, MechanicalSystem, State,
-                       acceleration, christoffel_first,
-                       christoffel_from_derivative, quadratic_velocity_force)
+from .fields import FD_STEP, fd_derivative
+from .geometry import (MechanicalSystem, State, acceleration,
+                       christoffel_first, christoffel_from_derivative,
+                       quadratic_velocity_force)
 from .matching import matching_residual
+from .rk4 import rk4_step
 from .targets import TargetSystem
 
 EQUILIBRIUM_TOL = 1e-9
 MATCH_CHECK_TOL = 1e-6
-FD_STEP = 1e-6
 MAX_STEPS = 20_000_000
 
 
@@ -45,7 +45,7 @@ def shaped_energy(target: TargetSystem, s: State) -> float:
 
 def target_acceleration(target: TargetSystem, s: State) -> np.ndarray:
     gam = christoffel_from_derivative(target.metric.derivative(s.x))
-    rhs = -(np.einsum("jkr,j,k->r", gam, s.xdot, s.xdot)
+    rhs = -(quadratic_velocity_force(gam, s.xdot)
             + target.dissipation(s.x, s.xdot)
             + target.potential.gradient(s.x))
     g = target.metric_at(s.x)
@@ -72,7 +72,7 @@ def control_law(sys: MechanicalSystem, target: TargetSystem,
     gam_p = christoffel_first(sys, x)
     gam_t = christoffel_from_derivative(target.metric.derivative(x))
     quad_p = quadratic_velocity_force(gam_p, v)
-    quad_t = np.einsum("jkr,j,k->r", gam_t, v, v)
+    quad_t = quadratic_velocity_force(gam_t, v)
     return ((quad_p - ratio_map @ quad_t)
             + (sys.dissipation(x, v) - ratio_map @ target.dissipation(x, v))
             + (sys.potential.gradient(x) - ratio_map @ target.potential.gradient(x)))
@@ -130,7 +130,7 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
     zero and passing a controller with one is an error.
 
     Raises BlowUpError when any state component leaves [-blowup, blowup];
-    the exception carries .time and .state for the last good node.
+    the exception carries .t and .state for the last good node.
     """
     n = s0.n
     k = _step_count(T, dt)
@@ -170,11 +170,7 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
     states[0] = z
     controls[0] = control_at(z)
     for i in range(k):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * dt * k1)
-        k3 = rhs(z + 0.5 * dt * k2)
-        k4 = rhs(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = rk4_step(rhs, z, dt)
         if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > blowup:
             raise BlowUpError(
                 f"state left the +-{blowup:g} box at t={times[i + 1]:g}",
@@ -304,12 +300,7 @@ def linearize_closed_loop(sys: MechanicalSystem, target: TargetSystem,
         return np.concatenate(
             (z[n:], target_acceleration(target, State(z[:n], z[n:]))))
 
-    z0 = np.concatenate((x_star, np.zeros(n)))
-    mat = np.empty((2 * n, 2 * n))
-    for j in range(2 * n):
-        e = np.zeros(2 * n)
-        e[j] = step
-        mat[:, j] = (field(z0 + e) - field(z0 - e)) / (2.0 * step)
+    mat = fd_derivative(field, np.concatenate((x_star, np.zeros(n))), step)
     eig = np.linalg.eigvals(mat)
     order = np.argsort(-eig.real, kind="stable")
     return Linearization(matrix=mat, spectrum=eig[order])
@@ -322,7 +313,7 @@ def analytic_rest_linearization(target: TargetSystem, x_star) -> Linearization:
     x_star = np.asarray(x_star, dtype=float)
     n = x_star.shape[0]
     ginv = target.metric_inv(x_star)
-    hess = fd_jacobian(target.potential.gradient, x_star)
+    hess = fd_derivative(target.potential.gradient, x_star)
     hess = 0.5 * (hess + hess.T)
     bmat = target.dissipation.jac_v(x_star, np.zeros(n))
     mat = np.zeros((2 * n, 2 * n))
@@ -378,15 +369,10 @@ def germ_check(sys: MechanicalSystem, target: TargetSystem, x_star,
     v_ref, a_ref, b_ref = (np.asarray(g, dtype=float) for g in gains)
 
     value = control_law(sys, target, State(x_star, zero))
-    pos = np.empty((2, 2))
-    vel = np.empty((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = step
-        pos[:, j] = (control_law(sys, target, State(x_star + e, zero))
-                     - control_law(sys, target, State(x_star - e, zero))) / (2 * step)
-        vel[:, j] = (control_law(sys, target, State(x_star, e))
-                     - control_law(sys, target, State(x_star, -e))) / (2 * step)
+    pos = fd_derivative(lambda y: control_law(sys, target, State(y, zero)),
+                        x_star, step)
+    vel = fd_derivative(lambda w: control_law(sys, target, State(x_star, w)),
+                        zero, step)
     return GermReport(
         value_defect=float(np.max(np.abs(value - v_ref))),
         position_defect=float(np.max(np.abs(pos - a_ref))),
@@ -406,7 +392,7 @@ def linear_gains_from_blocks(sys: MechanicalSystem, x_star,
     x_star = np.asarray(x_star, dtype=float)
     n = x_star.shape[0]
     w = sys.metric_at(x_star) @ np.linalg.inv(np.asarray(metric0, dtype=float))
-    hess = fd_jacobian(sys.potential.gradient, x_star)
+    hess = fd_derivative(sys.potential.gradient, x_star)
     hess = 0.5 * (hess + hess.T)
     v = sys.potential.gradient(x_star)
     a = hess - w @ np.asarray(potential_hess, dtype=float)

@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from ..fields import DissipationField, MatrixField, ScalarField
+from ..fields import DissipationField, Field, ScalarField
 from ..geometry import Box, MechanicalSystem
-from ..matching import OverlapField, RatioField
 
 
 def chained_pendulums(masses, weights=(1.0, 1.0, 1.0),
@@ -47,7 +46,7 @@ def chained_pendulums(masses, weights=(1.0, 1.0, 1.0),
         domain = Box(lo=(-0.5, -0.5, -0.5), hi=(0.5, 0.5, 0.5))
     return MechanicalSystem(
         n=3, m=2,
-        metric=MatrixField(gval, gder),
+        metric=Field(gval, gder),
         potential=ScalarField(
             lambda x: float(w @ np.cos(x)),
             lambda x: -w * np.sin(x)),
@@ -58,7 +57,7 @@ def chained_pendulums(masses, weights=(1.0, 1.0, 1.0),
 
 
 def terminal_family(masses, leading_overlap: float
-                    ) -> tuple[RatioField, OverlapField]:
+                    ) -> tuple[Field, Field]:
     """The one family this chain admits: both ratio rows proportional to
     coordinate directions with a common constant factor.
 
@@ -85,4 +84,4 @@ def terminal_family(masses, leading_overlap: float
         d[0, 1, 1] = d[1, 0, 1] = -off
         return d
 
-    return RatioField.constant(rows), OverlapField(oval, oder)
+    return Field.constant(rows), Field(oval, oder)

@@ -20,9 +20,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
-from ..fields import DissipationField, MatrixField, ScalarField
+from ..fields import DissipationField, Field, ScalarField
 from ..geometry import Box, MechanicalSystem
-from ..matching import RatioField
 from ..shapes import Profile, constant_profile, quadratic_profile
 from ..targets import TargetSystem
 
@@ -58,7 +57,7 @@ def pendulum_cart(a: float = 0.5, b: float = 0.5, domain: Box | None = None,
         domain = Box(lo=(-0.4, -1.0, -1.0), hi=(0.4, 1.0, 1.0))
     return MechanicalSystem(
         n=3, m=1,
-        metric=MatrixField(gval, gder),
+        metric=Field(gval, gder),
         potential=ScalarField(lambda x: b * x[2] + np.cos(x[0]),
                               lambda x: np.array([-np.sin(x[0]), 0.0, b])),
         dissipation=DissipationField.zero(3),
@@ -136,7 +135,7 @@ def _chart(p: PendulumParams, x):
 
 
 def pendulum_fixture(p: PendulumParams
-                     ) -> tuple[MechanicalSystem, RatioField, TargetSystem]:
+                     ) -> tuple[MechanicalSystem, Field, TargetSystem]:
     """Closed-form matching solution for the tilting-body plant.
 
     Ratio row (tilt_ratio, sway_ratio cos x0, 0); target kinetic matrix
@@ -159,7 +158,7 @@ def pendulum_fixture(p: PendulumParams
         d[0, 1, 0] = -m0 * np.sin(x[0])
         return d
 
-    ratio = RatioField(rval, rder)
+    ratio = Field(rval, rder)
 
     def tmetric_val(x):
         c, s = np.cos(x[0]), np.sin(x[0])
@@ -228,7 +227,7 @@ def pendulum_fixture(p: PendulumParams
         return out
 
     target = TargetSystem(
-        metric=MatrixField(tmetric_val, tmetric_der),
+        metric=Field(tmetric_val, tmetric_der),
         potential=ScalarField(tpot_val, tpot_grad),
         dissipation=DissipationField(tdis_val, tdis_jac_x, tdis_jac_v),
         name="pendulum-cart-shaped")
@@ -237,7 +236,7 @@ def pendulum_fixture(p: PendulumParams
 
 def pendulum_ratio_family(p: PendulumParams, overlap: Callable,
                           overlap_rate: Callable,
-                          free3: Callable | None = None) -> RatioField:
+                          free3: Callable | None = None) -> Field:
     """General ratio family from scalar overlap data depending on the tilt.
 
     overlap and overlap_rate map the tilt angle to the overlap value and
@@ -260,7 +259,7 @@ def pendulum_ratio_family(p: PendulumParams, overlap: Callable,
         l1 = nv + 0.5 * (c / s) * npr + a * f3 / s
         return np.array([[l1, l2, f3]])
 
-    return RatioField(rval)
+    return Field(rval)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def transport_coefficients(sys: MechanicalSystem, x):
     m, n = sys.m, sys.n
     x = np.asarray(x, dtype=float)
     g = sys.metric_at(x)
-    gam = christoffel_first(sys, x).values
+    gam = christoffel_first(sys, x)
     h = np.linalg.inv(g[:m, :m])
     pairs = _pairs(m)
     p2, f = len(pairs), m * (n - m)

@@ -25,9 +25,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
-from ..fields import DissipationField, MatrixField, ScalarField
+from ..fields import DissipationField, Field, ScalarField
 from ..geometry import Box, MechanicalSystem
-from ..matching import RatioField
 
 PLANAR = "planar"
 CONSTANT_INCLINE = "constant-incline"
@@ -181,7 +180,7 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
 
     return MechanicalSystem(
         n=2, m=1,
-        metric=MatrixField(gval, gder),
+        metric=Field(gval, gder),
         potential=ScalarField(vval, vgrad),
         dissipation=DissipationField.zero(2),
         params={"a": a, "b": b},
@@ -190,7 +189,7 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
 
 
 def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
-                        overlap_rate: Callable) -> RatioField:
+                        overlap_rate: Callable) -> Field:
     """Ratio rows for planar tracks from overlap data nu(swing angle)."""
     if curve.case_tag != PLANAR:
         raise DomainError("planar family needs a planar curve")
@@ -207,7 +206,7 @@ def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
         return np.array([[nv + 0.5 * np.tan(al - phi) * nr,
                           -nr / (2.0 * b * ca)]])
 
-    return RatioField(rval)
+    return Field(rval)
 
 
 def curvature_integral(curve: TrackCurve, b: float, s: float,
@@ -256,7 +255,7 @@ def incline_chart(curve: TrackCurve, b: float) -> ScalarField:
 
 
 def incline_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
-                         overlap_rate: Callable) -> RatioField:
+                         overlap_rate: Callable) -> Field:
     """Ratio rows for constant-incline tracks from overlap data nu(chart)."""
     chart = incline_chart(curve, b)
     a0 = curve.alpha(0.0)
@@ -273,4 +272,4 @@ def incline_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
         return np.array([[nv - (np.sin(a0 - phi) / s2) * nr,
                           nr / (b * s2)]])
 
-    return RatioField(rval)
+    return Field(rval)

@@ -18,9 +18,8 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
-from ..fields import DissipationField, MatrixField, ScalarField
+from ..fields import DissipationField, Field, ScalarField
 from ..geometry import Box, MechanicalSystem
-from ..matching import RatioField
 
 LOCUS_GUARD = 1e-6
 
@@ -53,7 +52,7 @@ def seesaw_cart(a: float = 0.5, b: float = 2.0, domain: Box | None = None,
         domain = Box(lo=(0.6, -0.4, 0.5), hi=(1.4, 0.4, 1.5))
     return MechanicalSystem(
         n=3, m=1,
-        metric=MatrixField(gval, gder),
+        metric=Field(gval, gder),
         potential=ScalarField(
             lambda x: x[2] * np.sin(x[1]) + a * np.cos(x[0]),
             lambda x: np.array([-a * np.sin(x[0]), x[2] * np.cos(x[1]),
@@ -65,7 +64,7 @@ def seesaw_cart(a: float = 0.5, b: float = 2.0, domain: Box | None = None,
 
 
 def seesaw_ratio_family(a: float, b: float, overlap: Callable,
-                        d_rock: Callable, d_offset: Callable) -> RatioField:
+                        d_rock: Callable, d_offset: Callable) -> Field:
     """Ratio rows from scalar overlap data nu(x0, x2).
 
     overlap, d_rock and d_offset map (x0, x2) to nu and its two partial
@@ -92,10 +91,10 @@ def seesaw_ratio_family(a: float, b: float, overlap: Callable,
               - b * s * n0) / (2.0 * b * w * s)
         return np.array([[r1, r2, r3]])
 
-    return RatioField(rval)
+    return Field(rval)
 
 
-def unit_overlap_ratio(a: float, b: float) -> RatioField:
+def unit_overlap_ratio(a: float, b: float) -> Field:
     """The constant-overlap member: finite away from the locus, divergent
     rows as the locus is approached."""
     return seesaw_ratio_family(a, b, lambda x0, x2: 1.0,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularTargetError
-from .fields import DissipationField, MatrixField, ScalarField
+from .fields import DissipationField, Field, ScalarField
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class TargetSystem:
     its kinetic matrix only needs to stay invertible on the working domain.
     """
 
-    metric: MatrixField
+    metric: Field
     potential: ScalarField
     dissipation: DissipationField
     name: str = ""

@@ -14,10 +14,10 @@ from matchctl import (State, assemble_compatibility, matching_residual,
                       row_identity_check, scaling_solution,
                       transport_residual, transport_target_data)
 from matchctl.cli import main
-from matchctl.fields import (DissipationField, MatrixField, ScalarField,
-                             fd_jacobian)
+from matchctl.fields import (DissipationField, Field, ScalarField,
+                             fd_derivative)
 from matchctl.geometry import Box, MechanicalSystem
-from matchctl.matching import (OverlapField, actuated_block_matrix_field,
+from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, involutive_closure,
                                kernel_direction_fields, rank_condition,
                                solvability_residual)
@@ -257,7 +257,7 @@ def test_criterion_07_kernel_dimensions_and_rank_drop_are_exact():
     M0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
     const_sys = MechanicalSystem(
         n=3, m=1,
-        metric=MatrixField(lambda x: M0, lambda x: np.zeros((3, 3, 3))),
+        metric=Field(lambda x: M0, lambda x: np.zeros((3, 3, 3))),
         potential=ScalarField(lambda x: 0.0, lambda x: np.zeros(3)),
         dissipation=DissipationField.zero(3),
         params={}, domain=Box(lo=(-1, -1, -1), hi=(1, 1, 1)), name="const")
@@ -312,7 +312,7 @@ def test_criterion_09_overlap_solvability_and_kernel_field_closure():
             d = np.zeros((1, 1, 2))
             d[0, 0, 0] = float(nurf(x[0]))
             return d
-        return OverlapField(lambda x: np.array([[float(nuf(x[0]))]]), der)
+        return Field(lambda x: np.array([[float(nuf(x[0]))]]), der)
 
     planar = swing_overlap(lambda q: 0.7 * np.sin(q) + 1.1,
                            lambda q: 0.7 * np.cos(q))
@@ -329,7 +329,7 @@ def test_criterion_09_overlap_solvability_and_kernel_field_closure():
             g = chart.gradient(x)
             r = float(nurf(chart(x)))
             return np.array([[[r * g[0], r * g[1]]]])
-        return OverlapField(
+        return Field(
             lambda x: np.array([[float(nuf(chart(x)))]]), der)
 
     incline = chart_overlap(lambda z: 0.4 * np.cos(z) + 1.2,
@@ -384,7 +384,7 @@ def test_criterion_11_germ_of_the_law_realizes_prescribed_linear_gains():
                                  check_positivity=False)
 
     def gains_for(tgt):
-        hess = fd_jacobian(tgt.potential.gradient, x_star)
+        hess = fd_derivative(tgt.potential.gradient, x_star)
         hess = 0.5 * (hess + hess.T)
         return linear_gains_from_blocks(
             bead, x_star, tgt.metric.value(x_star), hess,

@@ -1,0 +1,57 @@
+"""The benchmark's tracing hooks still find what they patch in the package.
+
+perfbench/spans.py looks functions up by name in the modules that call
+them and wraps the field objects of each fixture bundle.  A renamed or
+removed hook should fail here rather than in a traced benchmark run.
+"""
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from matchctl import matching
+from matchctl.config import load_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = sorted(f for f in os.listdir(os.path.join(ROOT, "configs"))
+                 if f.endswith(".yaml"))
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+
+
+def test_every_namespace_patch_target_exists():
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in SPANS.NAMESPACE_PATCHES
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_traced_bundle_runs_a_transport_residual(name):
+    cfg = load_config(os.path.join(ROOT, "configs", name))
+    plain = cfg.fixture
+    rec = SPANS.Recorder("hooks")
+    traced = rec.bundle(plain)
+    x = plain.system.domain.center
+    rec.install()
+    try:
+        res = matching.transport_residual(traced.system, traced.ratio, x)
+    finally:
+        rec.uninstall()
+    assert np.array_equal(
+        res, matching.transport_residual(plain.system, plain.ratio, x))
+    assert np.max(np.abs(res)) <= cfg.run.tolerance
+    called = {rec.names[i] for i in rec.name_id}
+    assert {"matching.transport_residual", "geometry.christoffel_first",
+            "fields.plant.metric.value", "fields.plant.metric.derivative",
+            "fields.ratio.value", "fields.ratio.derivative"} <= called

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from matchctl import (RatioField, State, complete_metric_rows, flow_map,
+from matchctl import (Field, State, complete_metric_rows, flow_map,
                       row_identity_check, scaling_solution,
                       transport_target_data)
 from matchctl.characteristics import CharacteristicGrid, grid_csv
@@ -50,8 +50,27 @@ def test_flow_map_step_validation():
         flow_map(RATIO, x0, 1e9, dt=1e-6)  # would need too many steps
 
 
+
+def test_flow_map_takes_no_roundoff_step():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return RATIO.value(x)
+
+    counting = Field(counted, RATIO.derivative)
+    x0 = np.array([0.1, -0.2, 0.3])
+    got = flow_map(counting, x0, 2.0, dt=1e-3)
+    assert len(calls) == 4 * 2000
+    assert np.allclose(got, _closed_flow(x0, 2.0), atol=5e-11)
+    # a genuine fractional remainder still gets its shortened step
+    calls.clear()
+    got = flow_map(counting, x0, -0.0105, dt=1e-3)
+    assert len(calls) == 4 * 11
+    assert np.allclose(got, _closed_flow(x0, -0.0105), atol=5e-11)
+
 def test_flow_map_refuses_a_dying_field():
-    decaying = RatioField(lambda x: np.array([[0.0, -x[1], 0.0]]))
+    decaying = Field(lambda x: np.array([[0.0, -x[1], 0.0]]))
     with pytest.raises(SingularFieldError):
         flow_map(decaying, np.array([0.0, 0.2, 0.0]), 40.0, dt=1e-2)
 
@@ -71,7 +90,7 @@ def test_complete_metric_rows_rejects_bad_blocks():
         complete_metric_rows(SYS, RATIO, np.array([[2.0, 0.3], [0.2, 1.0]]), x)
     with pytest.raises(DomainError):
         complete_metric_rows(SYS, RATIO, np.eye(3), x)
-    sideways = RatioField.constant(np.array([[0.0, 1.0, 0.0]]))
+    sideways = Field.constant(np.array([[0.0, 1.0, 0.0]]))
     with pytest.raises(SingularLocusError):
         complete_metric_rows(SYS, sideways, np.eye(2), x)
 

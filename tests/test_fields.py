@@ -1,12 +1,10 @@
-"""Field classes and their three derivative engines agree with each other."""
+"""Fields: explicit derivatives win, central differences fill in."""
 import numpy as np
 import pytest
 
 from matchctl.errors import DomainError
-from matchctl.fields import (DissipationField, MatrixField, ScalarField,
-                             VectorField, dual_gradient, dual_jacobian,
-                             dual_matrix_derivative, fd_gradient, fd_jacobian,
-                             fd_matrix_derivative, scale_dissipation)
+from matchctl.fields import (DissipationField, Field, ScalarField,
+                             fd_derivative, scale_dissipation)
 
 rng = np.random.default_rng(2)
 
@@ -23,40 +21,26 @@ def _poly_grad(x):
 def test_fd_gradient_matches_polynomial():
     for _ in range(5):
         x = rng.uniform(-1, 1, 3)
-        assert np.allclose(fd_gradient(_poly, x), _poly_grad(x), atol=5e-9)
-
-
-def test_dual_gradient_is_exact():
-    for _ in range(5):
-        x = rng.uniform(-1, 1, 3)
-        got = dual_gradient(lambda d: d[0] ** 2 * d[1] - 3.0 * d[2]
-                            + d[1] * d[2] ** 2, x)
-        assert np.allclose(got, _poly_grad(x), rtol=1e-14, atol=1e-14)
+        assert np.allclose(fd_derivative(_poly, x), _poly_grad(x), atol=5e-9)
 
 
 def test_fd_and_dual_jacobian():
-    def vec(d):
-        return [d[0] * d[1], d[1] ** 2 - d[0]]
-
     x = np.array([0.4, -0.7])
     want = np.array([[-0.7, 0.4], [-1.0, -1.4]])
-    assert np.allclose(fd_jacobian(lambda p: np.array(vec(p)), x), want, atol=5e-9)
-    assert np.allclose(dual_jacobian(vec, x), want, rtol=1e-14, atol=1e-14)
+    got = fd_derivative(lambda p: np.array([p[0] * p[1], p[1] ** 2 - p[0]]), x)
+    assert np.allclose(got, want, atol=5e-9)
 
 
 def test_matrix_derivative_engines():
-    def mat(d):
-        return [[d[0] ** 2, d[0] * d[1]], [d[0] * d[1], d[1] ** 3]]
+    def mat(p):
+        return np.array([[p[0] ** 2, p[0] * p[1]], [p[0] * p[1], p[1] ** 3]])
 
     x = np.array([0.9, -0.5])
     want = np.zeros((2, 2, 2))
     want[0, 0] = [2 * x[0], 0.0]
     want[0, 1] = want[1, 0] = [x[1], x[0]]
     want[1, 1] = [0.0, 3 * x[1] ** 2]
-    assert np.allclose(fd_matrix_derivative(
-        lambda p: np.array(mat(p), dtype=float), x), want, atol=5e-9)
-    assert np.allclose(dual_matrix_derivative(mat, x), want,
-                       rtol=1e-14, atol=1e-14)
+    assert np.allclose(fd_derivative(mat, x), want, atol=5e-9)
 
 
 def test_scalar_field_prefers_explicit_gradient():
@@ -67,9 +51,7 @@ def test_scalar_field_prefers_explicit_gradient():
 
 
 def test_scalar_field_dual_default_and_fd_mode():
-    f = ScalarField(lambda d: d[0] ** 2 + d[1])
-    assert np.allclose(f.gradient([1.5, 0.0]), [3.0, 1.0], rtol=1e-14)
-    g = ScalarField.from_fd(lambda x: float(x[0] ** 2 + x[1]))
+    g = ScalarField(lambda x: x[0] ** 2 + x[1])
     assert np.allclose(g.gradient([1.5, 0.0]), [3.0, 1.0], atol=5e-9)
     c = ScalarField.constant(4.2)
     assert c([1.0, 2.0]) == 4.2
@@ -77,22 +59,43 @@ def test_scalar_field_dual_default_and_fd_mode():
 
 
 def test_matrix_field_dual_value_and_derivative():
-    m = MatrixField(lambda d: [[d[0], d[1] * d[0]], [d[1] * d[0], 1.0]])
+    m = Field(lambda x: np.array([[x[0], x[1] * x[0]], [x[1] * x[0], 1.0]]))
     x = np.array([0.6, -0.2])
     assert np.allclose(m.value(x), [[0.6, -0.12], [-0.12, 1.0]])
     d = m.derivative(x)
-    assert np.allclose(d[0, 1], [-0.2, 0.6], rtol=1e-14)
-    cm = MatrixField.constant(np.eye(2))
+    assert d.shape == (2, 2, 2)
+    assert np.allclose(d[0, 1], [-0.2, 0.6], atol=5e-9)
+    cm = Field.constant(np.eye(2))
     assert np.array_equal(cm.derivative(x), np.zeros((2, 2, 2)))
+    rows = Field.constant([[1.0, 2.0, 0.0]])
+    assert rows.value(np.zeros(3)).shape == (1, 3)
+    assert np.array_equal(rows.derivative(np.zeros(3)), np.zeros((1, 3, 3)))
 
 
 def test_vector_field_jacobian_modes():
-    v = VectorField(lambda d: [d[1], -d[0] * d[1]])
     x = np.array([0.3, 0.8])
     want = np.array([[0.0, 1.0], [-0.8, -0.3]])
-    assert np.allclose(v.jacobian(x), want, rtol=1e-14)
-    vf = VectorField.from_fd(lambda p: np.array([p[1], -p[0] * p[1]]))
-    assert np.allclose(vf.jacobian(x), want, atol=5e-9)
+    v = Field(lambda p: np.array([p[1], -p[0] * p[1]]))
+    assert np.allclose(v.derivative(x), want, atol=5e-9)
+    exact = Field(v.value, lambda p: np.array([[0.0, 1.0], [-p[1], -p[0]]]))
+    assert np.array_equal(exact.derivative(x), want)
+
+
+def test_numpy_callables_fall_back_to_differences():
+    # regression: numpy ufuncs in a field callable used to raise TypeError
+    # when no derivative was given
+    for _ in range(5):
+        x = rng.uniform(-1, 1, 2)
+        f = ScalarField(lambda p: np.cos(p[0]) * p[1])
+        assert np.allclose(f.gradient(x), [-np.sin(x[0]) * x[1], np.cos(x[0])],
+                           rtol=0.0, atol=5e-9)
+        g = Field(lambda p: np.array([[np.cos(p[0]), p[1] * np.sin(p[0])],
+                                      [p[1] * np.sin(p[0]), np.exp(p[1])]]))
+        want = np.zeros((2, 2, 2))
+        want[0, 0] = [-np.sin(x[0]), 0.0]
+        want[0, 1] = want[1, 0] = [x[1] * np.cos(x[0]), np.sin(x[0])]
+        want[1, 1] = [0.0, np.exp(x[1])]
+        assert np.allclose(g.derivative(x), want, rtol=0.0, atol=5e-9)
 
 
 def test_dissipation_field_fallback_jacobians():

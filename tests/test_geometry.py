@@ -4,7 +4,7 @@ import pytest
 
 from matchctl import Box, MechanicalSystem, State
 from matchctl.errors import DomainError, SingularMetricError
-from matchctl.fields import DissipationField, MatrixField, ScalarField
+from matchctl.fields import DissipationField, Field, ScalarField
 from matchctl.geometry import (acceleration, christoffel_first,
                                christoffel_from_derivative, energy,
                                quadratic_velocity_force, rescale_coordinates)
@@ -41,7 +41,7 @@ def test_box_membership_and_sampling():
 
 
 def test_system_requires_underactuation():
-    kwargs = dict(metric=MatrixField.constant(np.eye(2)),
+    kwargs = dict(metric=Field.constant(np.eye(2)),
                   potential=ScalarField.constant(0.0),
                   dissipation=DissipationField.zero(2))
     with pytest.raises(DomainError):
@@ -71,7 +71,7 @@ def test_quadratic_velocity_force_contraction():
     v = np.array([1.0, -0.5, 0.25])
     gamma = christoffel_first(sys, x)
     got = quadratic_velocity_force(gamma, v)
-    want = np.array([sum(gamma.values[j, k, r] * v[j] * v[k]
+    want = np.array([sum(gamma[j, k, r] * v[j] * v[k]
                          for j in range(3) for k in range(3))
                      for r in range(3)])
     assert np.allclose(got, want, rtol=0, atol=1e-15)

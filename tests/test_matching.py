@@ -1,16 +1,13 @@
 """Compatibility operator, residuals, rank verdicts, and the scaling family."""
-import json
-
 import numpy as np
 import pytest
 
 from matchctl import (State, assemble_compatibility, matching_residual,
                       scaling_solution, transport_residual)
 from matchctl.errors import (DomainError, IndefiniteTargetError, ScopeError)
-from matchctl.fields import DissipationField, MatrixField, ScalarField, VectorField
+from matchctl.fields import DissipationField, Field, ScalarField
 from matchctl.geometry import Box, MechanicalSystem
-from matchctl.matching import (MatchingReport, OverlapField, RatioField,
-                               actuated_block_matrix_field,
+from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, commutator,
                                involutive_closure, kernel_direction_fields,
                                overlap_matrix, rank_condition, recover_ratio,
@@ -26,7 +23,7 @@ PEND = pendulum_fixture(PendulumParams().resolved())
 def _const_metric_system():
     M0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
     return MechanicalSystem(
-        n=3, m=1, metric=MatrixField.constant(M0),
+        n=3, m=1, metric=Field.constant(M0),
         potential=ScalarField.constant(0.0),
         dissipation=DissipationField.zero(3),
         domain=Box(lo=(-1, -1, -1), hi=(1, 1, 1)), name="const")
@@ -63,7 +60,7 @@ def test_transport_residual_fixture_and_corruption():
         r[0, 1] += 0.01
         return r
 
-    bad = RatioField(bad_val)
+    bad = Field(bad_val)
     worst_bad = max(np.max(np.abs(transport_residual(sys, bad, x))) for x in pts)
     assert worst_bad > 1e-4
 
@@ -91,7 +88,7 @@ def test_overlap_matrix_is_the_unactuated_row_contraction():
     sys, ratio, _ = PEND
     for _ in range(10):
         x = rng.uniform(-1, 1, 3)
-        got = overlap_matrix(sys, ratio, x).values
+        got = overlap_matrix(sys, ratio, x)
         want = sys.metric_at(x)[:1, :] @ ratio.value(x).T
         assert np.allclose(got, want, atol=1e-13)
 
@@ -108,7 +105,7 @@ def _pendulum_overlap(p):
         d[0, 0, 0] = 2 * a * m0 * np.sin(x[0]) * np.cos(x[0])
         return d
 
-    return OverlapField(val, der)
+    return Field(val, der)
 
 
 def test_solvability_residual_flags_bad_overlap_data():
@@ -124,7 +121,7 @@ def test_solvability_residual_flags_bad_overlap_data():
         d[0, 0, 1] = 0.3  # pretend the data varies along a driven coordinate
         return d
 
-    bad = OverlapField(good.value, bad_der)
+    bad = Field(good.value, bad_der)
     assert max(np.max(np.abs(solvability_residual(sys, bad, x)))
                for x in pts) > 1e-3
 
@@ -147,7 +144,7 @@ def test_recover_ratio_rejects_unsolvable_data():
         d[0, 0, 1] = 0.5
         return d
 
-    bad = OverlapField(good.value, bad_der)
+    bad = Field(good.value, bad_der)
     from matchctl.errors import UnsolvableDataError
     with pytest.raises(UnsolvableDataError):
         recover_ratio(sys, bad, np.array([0.4, 0.1, -0.2]))
@@ -191,7 +188,7 @@ def test_scaling_solution_validation():
     with pytest.raises(IndefiniteTargetError):
         scaling_solution(sys, -1.0)  # flips the sign of the kinetic matrix
 
-    full = MatrixField.constant(0.1 * np.ones((3, 3)))
+    full = Field.constant(0.1 * np.ones((3, 3)))
     with pytest.raises(DomainError):
         scaling_solution(sys, 1.0, kinetic_extra=full)
 
@@ -215,19 +212,19 @@ def test_actuated_extras_shape():
 
 
 def test_commutator_closed_form():
-    f1 = VectorField(lambda x: np.array([1.0, 0.0]),
-                     jacobian=lambda x: np.zeros((2, 2)))
-    f2 = VectorField(lambda x: np.array([0.0, x[0]]),
-                     jacobian=lambda x: np.array([[0.0, 0.0], [1.0, 0.0]]))
+    f1 = Field(lambda x: np.array([1.0, 0.0]),
+               derivative=lambda x: np.zeros((2, 2)))
+    f2 = Field(lambda x: np.array([0.0, x[0]]),
+               derivative=lambda x: np.array([[0.0, 0.0], [1.0, 0.0]]))
     br = commutator(f1, f2)
     assert np.allclose(br.value(np.array([0.7, -0.3])), [0.0, 1.0], atol=1e-12)
 
 
 def test_involutive_closure_adds_the_missing_direction():
-    f1 = VectorField(lambda x: np.array([1.0, 0.0]),
-                     jacobian=lambda x: np.zeros((2, 2)))
-    f2 = VectorField(lambda x: np.array([0.0, x[0]]),
-                     jacobian=lambda x: np.array([[0.0, 0.0], [1.0, 0.0]]))
+    f1 = Field(lambda x: np.array([1.0, 0.0]),
+               derivative=lambda x: np.zeros((2, 2)))
+    f2 = Field(lambda x: np.array([0.0, x[0]]),
+               derivative=lambda x: np.array([[0.0, 0.0], [1.0, 0.0]]))
     pts = [np.array([0.0, 0.0]), np.array([0.5, 0.5])]
     res = involutive_closure([f1, f2], pts)
     assert res.closed and res.added == 1 and res.depth == 1
@@ -248,15 +245,3 @@ def test_kernel_direction_fields_scope():
     with pytest.raises(ScopeError):
         kernel_direction_fields(chained_pendulums(np.array(
             [[2.0, 1.0, 0.5], [1.0, 2.0, 1.4], [0.5, 1.4, 3.0]])), np.zeros(3))
-
-
-def test_matching_report_serialization():
-    rep = MatchingReport(fixture="demo", seed=7)
-    rep.residual_max["transport"] = 1e-12
-    rep.verdicts["transport"] = True
-    blob = rep.to_json()
-    data = json.loads(blob)
-    assert data["passed"] is True and data["fixture"] == "demo"
-    rep.verdicts["other"] = False
-    assert not rep.passed
-    assert rep.to_json() == rep.to_json()

@@ -4,8 +4,8 @@ import pytest
 
 from matchctl import State, assemble_compatibility, matching_residual, transport_residual
 from matchctl.errors import DomainError
-from matchctl.fields import fd_gradient, fd_matrix_derivative
-from matchctl.matching import (OverlapField, overlap_matrix, recover_ratio,
+from matchctl.fields import Field, fd_derivative
+from matchctl.matching import (overlap_matrix, recover_ratio,
                                solvability_residual)
 from matchctl.systems import (PendulumParams, pendulum_cart, pendulum_fixture,
                               pendulum_ratio_family, upright_stability_check)
@@ -32,7 +32,7 @@ def _fixture_overlap(p):
         d[0, 0, 0] = 2 * a * m0 * np.sin(x[0]) * np.cos(x[0])
         return d
 
-    return OverlapField(val, der)
+    return Field(val, der)
 
 
 def test_parameter_validation():
@@ -47,13 +47,13 @@ def test_parameter_validation():
 def test_stated_derivatives_agree_with_finite_differences():
     for x in PTS[:12]:
         assert np.max(np.abs(SYS.metric.derivative(x)
-                             - fd_matrix_derivative(SYS.metric.value, x))) <= 2e-7
+                             - fd_derivative(SYS.metric.value, x))) <= 2e-7
         assert np.max(np.abs(TARGET.metric.derivative(x)
-                             - fd_matrix_derivative(TARGET.metric.value, x))) <= 5e-6
+                             - fd_derivative(TARGET.metric.value, x))) <= 5e-6
         assert np.max(np.abs(RATIO.derivative(x)
-                             - fd_matrix_derivative(RATIO.value, x))) <= 2e-7
+                             - fd_derivative(RATIO.value, x))) <= 2e-7
         assert np.max(np.abs(TARGET.potential.gradient(x)
-                             - fd_gradient(TARGET.potential, x))) <= 5e-6
+                             - fd_derivative(TARGET.potential, x))) <= 5e-6
 
 
 def test_fixture_solves_both_identity_groups():
@@ -86,7 +86,7 @@ def test_compatibility_operator_closed_form():
 def test_overlap_matrix_and_solvability():
     ov = _fixture_overlap(P)
     for x in PTS:
-        assert np.max(np.abs(overlap_matrix(SYS, RATIO, x).values
+        assert np.max(np.abs(overlap_matrix(SYS, RATIO, x)
                              - ov.value(x))) <= 1e-12
     worst = max(np.max(np.abs(solvability_residual(SYS, ov, x))) for x in PTS)
     assert worst <= 1e-9
@@ -98,7 +98,7 @@ def test_overlap_matrix_and_solvability():
         d[0, 0, 1] = 0.3
         return d
 
-    bad = OverlapField(lambda x: ov.value(x), bad_der)
+    bad = Field(lambda x: ov.value(x), bad_der)
     assert max(np.max(np.abs(solvability_residual(SYS, bad, x)))
                for x in PTS) > 1e-3
 

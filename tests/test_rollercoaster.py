@@ -4,8 +4,8 @@ import pytest
 
 from matchctl import assemble_compatibility, transport_residual
 from matchctl.errors import DomainError, SingularLocusError
-from matchctl.fields import fd_gradient, fd_matrix_derivative
-from matchctl.matching import OverlapField, solvability_residual
+from matchctl.fields import Field, fd_derivative
+from matchctl.matching import solvability_residual
 from matchctl.systems import (TrackCurve, bead_on_track, curvature_integral,
                               helix_track, incline_chart, incline_ratio_family,
                               planar_ratio_family, validate_curve,
@@ -63,9 +63,9 @@ def test_metric_and_potential_oracles():
         for x in pts[:10]:
             assert np.max(np.abs(
                 sys.metric.derivative(x)
-                - fd_matrix_derivative(sys.metric.value, x))) <= 5e-6
+                - fd_derivative(sys.metric.value, x))) <= 5e-6
             assert np.max(np.abs(sys.potential.gradient(x)
-                                 - fd_gradient(sys.potential, x))) <= 5e-6
+                                 - fd_derivative(sys.potential, x))) <= 5e-6
             sys.check_metric_spd(x)
 
 
@@ -100,15 +100,15 @@ def test_planar_solvability_residuals():
             d = np.zeros((1, 1, 2))
             d[0, 0, 0] = float(nurf(x[0]))
             return d
-        return OverlapField(lambda x: np.array([[float(nuf(x[0]))]]), der)
+        return Field(lambda x: np.array([[float(nuf(x[0]))]]), der)
 
     good = swing_overlap(lambda p: 0.7 * np.sin(p) + 1.1,
                          lambda p: 0.7 * np.cos(p))
     assert max(np.max(np.abs(solvability_residual(SYS1, good, x)))
                for x in PTS1) <= 1e-9
 
-    arclength = OverlapField(lambda x: np.array([[x[1]]]),
-                             lambda x: np.array([[[0.0, 1.0]]]))
+    arclength = Field(lambda x: np.array([[x[1]]]),
+                      lambda x: np.array([[[0.0, 1.0]]]))
     assert max(np.max(np.abs(solvability_residual(SYS1, arclength, x)))
                for x in PTS1) > 1e-3
 
@@ -127,7 +127,7 @@ def test_incline_chart_and_family():
         kdir = assemble_compatibility(SYS2, x).kernel_basis[:, 0]
         gz = chart.gradient(x)
         assert abs(kdir @ gz) / np.linalg.norm(gz) <= 1e-9
-        assert np.max(np.abs(chart.gradient(x) - fd_gradient(chart, x))) <= 5e-6
+        assert np.max(np.abs(chart.gradient(x) - fd_derivative(chart, x))) <= 5e-6
 
     fam = incline_ratio_family(HELIX, B, lambda z: 0.4 * np.cos(z) + 1.2,
                                lambda z: -0.4 * np.sin(z))

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from matchctl import (RatioField, State, assemble_compatibility,
+from matchctl import (Field, State, assemble_compatibility,
                       matching_residual, scaling_solution, transport_residual)
 from matchctl.errors import DomainError, SingularLocusError
-from matchctl.fields import fd_matrix_derivative
+from matchctl.fields import fd_derivative
 from matchctl.matching import rank_condition
 from matchctl.systems import seesaw_cart, seesaw_ratio_family, unit_overlap_ratio
 
@@ -26,7 +26,7 @@ def test_parameter_validation():
 def test_metric_derivative_and_positivity():
     for x in PTS[:12]:
         assert np.max(np.abs(SYS.metric.derivative(x)
-                             - fd_matrix_derivative(SYS.metric.value, x))) <= 2e-7
+                             - fd_derivative(SYS.metric.value, x))) <= 2e-7
         SYS.check_metric_spd(x)
 
 
@@ -51,7 +51,7 @@ def test_family_with_varying_overlap_is_transport_exact():
                            + w * (B + w * w) * c * n2) / (2 * B * w * s)]])
 
     worst_truncated = max(np.max(np.abs(
-        transport_residual(SYS, RatioField(rval_truncated), x))) for x in PTS)
+        transport_residual(SYS, Field(rval_truncated), x))) for x in PTS)
     assert worst_truncated > 0.1
 
 

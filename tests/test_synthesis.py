@@ -2,14 +2,14 @@
 import numpy as np
 import pytest
 
-from matchctl import (DissipationField, MatrixField, MechanicalSystem,
+from matchctl import (DissipationField, Field, MechanicalSystem,
                       ScalarField, State, TargetSystem, control_law,
                       matched_controller, lyapunov_audit, scaling_solution,
                       simulate, trajectory_csv)
 from matchctl.errors import (BlowUpError, DomainError, MatchctlError,
                              NotAnEquilibriumError, ScopeError,
                              SingularTargetError)
-from matchctl.fields import fd_jacobian
+from matchctl.fields import fd_derivative
 from matchctl.geometry import acceleration, christoffel_from_derivative
 from matchctl.matching import actuated_scalar_field
 from matchctl.shapes import constant_profile
@@ -63,7 +63,7 @@ def test_shaped_energy_is_the_quadratic_form_plus_potential():
 
 def test_singular_target_is_reported():
     degenerate = TargetSystem(
-        metric=MatrixField.constant(np.diag([1.0, 0.0, 1.0])),
+        metric=Field.constant(np.diag([1.0, 0.0, 1.0])),
         potential=ScalarField.constant(0.0),
         dissipation=DissipationField.zero(3))
     with pytest.raises(SingularTargetError):
@@ -113,7 +113,7 @@ def test_simulate_validation():
 
 def test_blowup_carries_the_last_good_node():
     runaway = MechanicalSystem(
-        n=2, m=1, metric=MatrixField.constant(np.eye(2)),
+        n=2, m=1, metric=Field.constant(np.eye(2)),
         potential=ScalarField(lambda x: -0.5 * float(x @ x),
                               gradient=lambda x: -np.asarray(x)),
         dissipation=DissipationField.zero(2))
@@ -214,7 +214,7 @@ def _shaped_bead(kappa=0.8, s_star=0.4, c2=0.9):
 
 def test_germ_of_the_law_matches_block_gains():
     sys2, _, target, x_star = _shaped_bead()
-    hess = fd_jacobian(target.potential.gradient, x_star)
+    hess = fd_derivative(target.potential.gradient, x_star)
     gains = linear_gains_from_blocks(
         sys2, x_star, target.metric.value(x_star), 0.5 * (hess + hess.T),
         target.dissipation.jac_v(x_star, np.zeros(2)))
