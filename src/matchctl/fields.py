@@ -82,7 +82,7 @@ class DissipationField:
     def __call__(self, x, v) -> np.ndarray:
         out = np.asarray(self._value(np.asarray(x, dtype=float),
                                      np.asarray(v, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError("dissipation returned non-finite values")
         return out
 

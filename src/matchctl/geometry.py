@@ -35,7 +35,7 @@ class State:
             raise DomainError("state needs matching 1-d position and velocity")
         if self.x.size < 2:
             raise DomainError("state dimension must be at least 2")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xdot))):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.xdot).all()):
             raise DomainError("state has non-finite entries")
 
     @property
@@ -87,7 +87,7 @@ class MechanicalSystem:
 
     def metric_at(self, x) -> np.ndarray:
         g = self.metric.value(x)
-        if g.shape != (self.n, self.n) or not np.all(np.isfinite(g)):
+        if g.shape != (self.n, self.n) or not np.isfinite(g).all():
             raise DomainError("metric evaluation failed shape/finiteness check")
         return g
 
@@ -115,7 +115,7 @@ def christoffel_from_derivative(d: np.ndarray) -> np.ndarray:
 def christoffel_first(sys: MechanicalSystem, x) -> np.ndarray:
     """First-kind symbols G[i, j, k] of the plant metric at x."""
     d = sys.metric.derivative(x)  # d[i, j, k] = d g_ij / d x_k
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise DomainError("metric derivative has non-finite entries")
     return christoffel_from_derivative(d)
 
@@ -128,7 +128,7 @@ def quadratic_velocity_force(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
 def acceleration(sys: MechanicalSystem, s: State, u: np.ndarray) -> np.ndarray:
     """Solve the equations of motion for xdd at the given state and control."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (sys.n,) or not np.all(np.isfinite(u)):
+    if u.shape != (sys.n,) or not np.isfinite(u).all():
         raise DomainError("control vector has wrong shape or non-finite entries")
     g = sys.metric_at(s.x)
     gamma = christoffel_first(sys, s.x)

@@ -15,9 +15,15 @@ import numpy as np
 SPAN_ROUNDOFF = 1e-12
 
 
-def rk4_step(f: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    """One step of size h for dz/dt = f(z)."""
-    k1 = f(z)
+def rk4_step(f: Callable, z: np.ndarray, h: float,
+             k1: np.ndarray | None = None) -> np.ndarray:
+    """One step of size h for dz/dt = f(z).
+
+    k1, when given, is f(z) already evaluated by the caller; the step then
+    makes three evaluations instead of four.
+    """
+    if k1 is None:
+        k1 = f(z)
     k2 = f(z + 0.5 * h * k1)
     k3 = f(z + 0.5 * h * k2)
     k4 = f(z + h * k3)

@@ -8,10 +8,12 @@ with a fixed-step fourth-order scheme, audits the shaped energy against
 its dissipation identity, linearizes about rest points, and compares
 first-order germs of feedback laws.
 
-Only the target's kinetic matrix is ever inverted.  The plant metric is
-inverted solely when the plant itself is integrated, so degenerate
-plants (singular mass matrix) still admit law construction, germ work,
-and target-side simulation.
+The law needs the target's kinetic matrix only through one linear solve
+per evaluation, applied to the target's summed forces; no inverse is
+formed on the simulation path.  The plant metric is solved against
+solely when the plant itself is integrated, so degenerate plants
+(singular mass matrix) still admit law construction, germ work, and
+target-side simulation.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, MatchctlError,
-                     NotAnEquilibriumError, ScopeError, SingularTargetError)
+                     NotAnEquilibriumError, ScopeError)
 from .fields import FD_STEP, fd_derivative
 from .geometry import (MechanicalSystem, State, acceleration,
                        christoffel_first, christoffel_from_derivative,
@@ -43,39 +45,34 @@ def shaped_energy(target: TargetSystem, s: State) -> float:
     return float(0.5 * s.xdot @ g @ s.xdot + target.potential(s.x))
 
 
-def target_acceleration(target: TargetSystem, s: State) -> np.ndarray:
+def _target_force(target: TargetSystem, s: State) -> np.ndarray:
+    """Velocity-quadratic, dissipative and potential forces of the target."""
     gam = christoffel_from_derivative(target.metric.derivative(s.x))
-    rhs = -(quadratic_velocity_force(gam, s.xdot)
+    return (quadratic_velocity_force(gam, s.xdot)
             + target.dissipation(s.x, s.xdot)
             + target.potential.gradient(s.x))
-    g = target.metric_at(s.x)
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTargetError(
-            f"shaped kinetic matrix is singular at x={s.x}") from exc
+
+
+def target_acceleration(target: TargetSystem, s: State) -> np.ndarray:
+    return target.metric_solve(s.x, -_target_force(target, s))
 
 
 def control_law(sys: MechanicalSystem, target: TargetSystem,
                 s: State) -> np.ndarray:
     """Force vector that makes the plant follow the target dynamics.
 
-    Three groups, each plant-minus-image: velocity-quadratic forces,
-    dissipative forces, potential gradients, with the image taken through
-    g(x) times the inverse shaped matrix.  For a matched pair the
-    unactuated components vanish identically; they are returned as
-    computed so callers can monitor the defect.
+    The plant's velocity-quadratic, dissipative and potential forces are
+    summed, and so are the target's; the law is the plant sum minus the
+    image g(x) G(x)^-1 of the target sum, taken with one solve against
+    the shaped matrix G.  For a matched pair the unactuated components
+    vanish identically; they are returned as computed so callers can
+    monitor the defect.
     """
     x, v = s.x, s.xdot
     g = sys.metric_at(x)
-    ratio_map = g @ target.metric_inv(x)
-    gam_p = christoffel_first(sys, x)
-    gam_t = christoffel_from_derivative(target.metric.derivative(x))
-    quad_p = quadratic_velocity_force(gam_p, v)
-    quad_t = quadratic_velocity_force(gam_t, v)
-    return ((quad_p - ratio_map @ quad_t)
-            + (sys.dissipation(x, v) - ratio_map @ target.dissipation(x, v))
-            + (sys.potential.gradient(x) - ratio_map @ target.potential.gradient(x)))
+    plant = (quadratic_velocity_force(christoffel_first(sys, x), v)
+             + sys.dissipation(x, v) + sys.potential.gradient(x))
+    return plant - g @ target.metric_solve(x, _target_force(target, s))
 
 
 def matched_controller(sys: MechanicalSystem,
@@ -119,48 +116,67 @@ def _step_count(T: float, dt: float) -> int:
     return k
 
 
+class _NonFiniteStage(Exception):
+    """A Runge-Kutta stage of simulate reached non-finite entries."""
+
+
 def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
              dt: float, controller: Callable[[State], np.ndarray] | None = None,
              blowup: float = 1e6) -> Trajectory:
     """Integrate the model with a fixed-step classical Runge-Kutta scheme.
 
     A MechanicalSystem runs open loop (controller None means zero force)
-    or closed loop with the controller evaluated at every internal stage.
-    A TargetSystem integrates its own dynamics; its recorded controls are
-    zero and passing a controller with one is an error.
+    or closed loop with the controller evaluated once per stage.  Each
+    node is evaluated once, as the first stage of the step leaving it, so
+    the recorded controls are those first-stage values: controls[i] is
+    controller(traj.state_at(i)), and k steps call the controller 4k + 1
+    times.  A TargetSystem integrates its own dynamics; its recorded
+    controls are zero and passing a controller with one is an error.
 
-    Raises BlowUpError when any state component leaves [-blowup, blowup];
-    the exception carries .t and .state for the last good node.
+    Raises BlowUpError when any state component leaves [-blowup, blowup]
+    or a stage inside a step reaches non-finite entries; the exception
+    carries .t and .state for the last good node.  A DomainError raised
+    by a field or the controller at a finite stage propagates as is.
     """
     n = s0.n
     k = _step_count(T, dt)
     zero_u = np.zeros(n)
+
+    def state(z):
+        try:
+            return State(z[:n], z[n:])
+        except DomainError:  # shapes are fixed here, so the entries are not finite
+            raise _NonFiniteStage from None
+
+    def control(s):
+        if controller is None:
+            return zero_u
+        return np.asarray(controller(s), dtype=float)
 
     if isinstance(model, TargetSystem):
         if controller is not None:
             raise DomainError("a target system integrates its own dynamics; "
                               "controller must be None")
 
-        def rhs(z):
-            return np.concatenate(
-                (z[n:], target_acceleration(model, State(z[:n], z[n:]))))
-
-        def control_at(z):
-            return zero_u
+        def accel(s, u):
+            return target_acceleration(model, s)
     elif isinstance(model, MechanicalSystem):
         if model.n != n:
             raise DomainError("initial state dimension does not match the system")
 
-        def control_at(z):
-            if controller is None:
-                return zero_u
-            return np.asarray(controller(State(z[:n], z[n:])), dtype=float)
-
-        def rhs(z):
-            s = State(z[:n], z[n:])
-            return np.concatenate((z[n:], acceleration(model, s, control_at(z))))
+        def accel(s, u):
+            return acceleration(model, s, u)
     else:
         raise DomainError(f"cannot simulate a {type(model).__name__}")
+
+    def evaluate(z):
+        """Slope at z and the control that produced it."""
+        s = state(z)
+        u = control(s)
+        return np.concatenate((z[n:], accel(s, u))), u
+
+    def rhs(z):
+        return evaluate(z)[0]
 
     times = np.linspace(0.0, k * dt, k + 1)
     states = np.empty((k + 1, 2 * n))
@@ -168,16 +184,20 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
     z = np.concatenate((np.asarray(s0.x, dtype=float),
                         np.asarray(s0.xdot, dtype=float)))
     states[0] = z
-    controls[0] = control_at(z)
     for i in range(k):
-        z = rk4_step(rhs, z, dt)
-        if not np.all(np.isfinite(z)) or np.max(np.abs(z)) > blowup:
+        k1, controls[i] = evaluate(z)
+        try:
+            z = rk4_step(rhs, z, dt, k1)
+            bad = not np.isfinite(z).all() or np.abs(z).max() > blowup
+        except _NonFiniteStage:
+            bad = True
+        if bad:
             raise BlowUpError(
                 f"state left the +-{blowup:g} box at t={times[i + 1]:g}",
                 t=times[i],
                 state=State(states[i, :n].copy(), states[i, n:].copy()))
         states[i + 1] = z
-        controls[i + 1] = control_at(z)
+    controls[k] = control(state(z))
     return Trajectory(times=times, states=states, controls=controls)
 
 
@@ -236,11 +256,11 @@ def lyapunov_audit(target: TargetSystem, traj: Trajectory) -> LyapunovAudit:
     if k < 3:
         raise DomainError("need at least three nodes to audit")
     dt = traj.times[1] - traj.times[0]
-    energies = np.array([shaped_energy(target, traj.state_at(i))
-                         for i in range(k)])
+    energies = np.empty(k)
     powers = np.empty(k)
     for i in range(k):
         s = traj.state_at(i)
+        energies[i] = shaped_energy(target, s)
         powers[i] = float(target.dissipation(s.x, s.xdot) @ s.xdot)
     ddt = (energies[2:] - energies[:-2]) / (2.0 * dt)
     return LyapunovAudit(times=traj.times, energies=energies, powers=powers,

@@ -14,6 +14,7 @@ the upright equilibrium.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -123,15 +124,15 @@ class PendulumParams:
                    gain=constant_profile(1.0, dim=3))
 
 
-def _chart(p: PendulumParams, x):
-    """Invariant chart (u, v) of the ratio flow and its x-gradient rows."""
-    slope = p.sway_ratio / p.tilt_ratio
-    c = np.cos(x[0])
-    u = x[1] - slope * np.sin(x[0])
-    v = x[2]
-    du = np.array([-slope * c, 1.0, 0.0])
-    dv = np.array([0.0, 0.0, 1.0])
-    return np.array([u, v]), du, dv
+def _chart(slope: float, x):
+    """cos x0, sin x0 and the point (u, v) = (x1 - slope sin x0, x2) of the
+    invariant chart of the ratio flow.
+
+    The chart's x-gradients are du = (-slope cos x0, 1, 0) and
+    dv = (0, 0, 1); the target kernels apply them entry by entry.
+    """
+    c, s = math.cos(x[0]), math.sin(x[0])
+    return c, s, np.array([x[1] - slope * s, x[2]])
 
 
 def pendulum_fixture(p: PendulumParams
@@ -161,53 +162,44 @@ def pendulum_fixture(p: PendulumParams
     ratio = Field(rval, rder)
 
     def tmetric_val(x):
-        c, s = np.cos(x[0]), np.sin(x[0])
-        y, _, _ = _chart(p, x)
+        c, s, y = _chart(slope, x)
         f22, f23, f33 = p.block22(y), p.block23(y), p.block33(y)
-        g = np.empty((3, 3))
-        g[1, 1], g[1, 2], g[2, 2] = f22, f23, f33
-        g[0, 1] = -ca * c - slope * c * f22
-        g[0, 2] = -ca * s - slope * c * f23
-        g[0, 0] = 1.0 / t0 + ca * slope * c * c + slope * slope * c * c * f22
-        g[1, 0], g[2, 0], g[2, 1] = g[0, 1], g[0, 2], g[1, 2]
-        return g
+        g01 = -ca * c - slope * c * f22
+        g02 = -ca * s - slope * c * f23
+        g00 = 1.0 / t0 + ca * slope * c * c + slope * slope * c * c * f22
+        return np.array(((g00, g01, g02), (g01, f22, f23), (g02, f23, f33)))
 
     def tmetric_der(x):
-        c, s = np.cos(x[0]), np.sin(x[0])
-        y, du, dv = _chart(p, x)
+        # d[i, j] is the x-gradient of g_ij; a chart entry with partials
+        # (h_u, h_v) has gradient (-slope c h_u, h_u, h_v)
+        c, s, y = _chart(slope, x)
         f22, f23 = p.block22(y), p.block23(y)
-        g22u, g22v = p.block22.gradient(y)
-        g23u, g23v = p.block23.gradient(y)
-        g33u, g33v = p.block33.gradient(y)
-        d22 = g22u * du + g22v * dv
-        d23 = g23u * du + g23v * dv
-        d33 = g33u * du + g33v * dv
-        d = np.zeros((3, 3, 3))
-        d[1, 1] = d22
-        d[1, 2] = d23
-        d[2, 2] = d33
-        d[0, 1] = -slope * c * d22
-        d[0, 1, 0] += ca * s + slope * s * f22
-        d[0, 2] = -slope * c * d23
-        d[0, 2, 0] += -ca * c + slope * s * f23
-        d[0, 0] = slope * slope * c * c * d22
-        d[0, 0, 0] += -2.0 * ca * slope * c * s - 2.0 * slope * slope * c * s * f22
-        d[1, 0], d[2, 0], d[2, 1] = d[0, 1], d[0, 2], d[1, 2]
-        return d
+        g22u, g22v = p.block22.gradient(y).tolist()
+        g23u, g23v = p.block23.gradient(y).tolist()
+        g33u, g33v = p.block33.gradient(y).tolist()
+        sc = -slope * c
+        d22 = (g22u * sc, g22u, g22v)
+        d23 = (g23u * sc, g23u, g23v)
+        d33 = (g33u * sc, g33u, g33v)
+        d01 = (sc * d22[0] + (ca * s + slope * s * f22), sc * g22u, sc * g22v)
+        d02 = (sc * d23[0] + (-ca * c + slope * s * f23), sc * g23u, sc * g23v)
+        k00 = slope * slope * c * c
+        d00 = (k00 * d22[0] + (-2.0 * ca * slope * c * s
+                               - 2.0 * slope * slope * c * s * f22),
+               k00 * g22u, k00 * g22v)
+        return np.array(((d00, d01, d02), (d01, d22, d23), (d02, d23, d33)))
 
     def tpot_val(x):
-        y, _, _ = _chart(p, x)
-        return np.cos(x[0]) / t0 + p.well(y)
+        c, _, y = _chart(slope, x)
+        return c / t0 + p.well(y)
 
     def tpot_grad(x):
-        y, du, dv = _chart(p, x)
-        wu, wv = p.well.gradient(y)
-        out = wu * du + wv * dv
-        out[0] += -np.sin(x[0]) / t0
-        return out
+        c, s, y = _chart(slope, x)
+        wu, wv = p.well.gradient(y).tolist()
+        return np.array((-slope * c * wu - s / t0, wu, wv))
 
     def drag_direction(x):
-        return np.array([-slope * np.cos(x[0]), 1.0, 1.0])
+        return np.array((-slope * math.cos(x[0]), 1.0, 1.0))
 
     def tdis_val(x, v):
         wvec = drag_direction(x)

@@ -25,7 +25,7 @@ class TargetSystem:
 
     def metric_at(self, x) -> np.ndarray:
         g = self.metric.value(x)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise SingularTargetError(
                 f"target kinetic matrix has non-finite entries at x={np.asarray(x)}")
         return g
@@ -34,6 +34,15 @@ class TargetSystem:
         g = self.metric_at(x)
         try:
             return np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularTargetError(
+                f"target kinetic matrix is singular at x={np.asarray(x)}") from exc
+
+    def metric_solve(self, x, rhs) -> np.ndarray:
+        """G(x)^-1 rhs by one linear solve, without forming the inverse."""
+        g = self.metric_at(x)
+        try:
+            return np.linalg.solve(g, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularTargetError(
                 f"target kinetic matrix is singular at x={np.asarray(x)}") from exc

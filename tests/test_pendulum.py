@@ -7,6 +7,7 @@ from matchctl.errors import DomainError
 from matchctl.fields import Field, fd_derivative
 from matchctl.matching import (overlap_matrix, recover_ratio,
                                solvability_residual)
+from matchctl.shapes import cosine_profile, quadratic_profile
 from matchctl.systems import (PendulumParams, pendulum_cart, pendulum_fixture,
                               pendulum_ratio_family, upright_stability_check)
 
@@ -54,6 +55,26 @@ def test_stated_derivatives_agree_with_finite_differences():
                              - fd_derivative(RATIO.value, x))) <= 2e-7
         assert np.max(np.abs(TARGET.potential.gradient(x)
                              - fd_derivative(TARGET.potential, x))) <= 5e-6
+
+
+def test_shaped_kernels_with_curved_block_profiles():
+    # non-constant blocks and well exercise the chart-gradient terms of the
+    # shaped metric derivative and the shaped potential gradient
+    p = PendulumParams(
+        block22=quadratic_profile([[0.3, 0.1], [0.1, 0.2]], [0.1, -0.2], 2.0),
+        block23=cosine_profile(0.2, [1.0, 0.5], 0.3),
+        block33=quadratic_profile([[0.1, 0.0], [0.0, 0.4]], [0.0, 0.1], 1.0),
+        well=cosine_profile(0.5, [0.7, -1.2], 0.1, 1.0))
+    sys, ratio, target = pendulum_fixture(p)
+    local = np.random.default_rng(11)
+    for x in sys.domain.sample(local, 20):
+        assert np.max(np.abs(target.metric.derivative(x)
+                             - fd_derivative(target.metric.value, x))) <= 5e-8
+        assert np.max(np.abs(target.potential.gradient(x)
+                             - fd_derivative(target.potential, x))) <= 5e-8
+        assert np.max(np.abs(transport_residual(sys, ratio, x))) <= 1e-9
+        s = State(x, local.uniform(-1, 1, 3))
+        assert np.max(np.abs(matching_residual(sys, ratio, target, s))) <= 1e-9
 
 
 def test_fixture_solves_both_identity_groups():

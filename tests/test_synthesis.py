@@ -5,13 +5,14 @@ import pytest
 from matchctl import (DissipationField, Field, MechanicalSystem,
                       ScalarField, State, TargetSystem, control_law,
                       matched_controller, lyapunov_audit, scaling_solution,
-                      simulate, trajectory_csv)
+                      simulate, synthesis, trajectory_csv)
 from matchctl.errors import (BlowUpError, DomainError, MatchctlError,
                              NotAnEquilibriumError, ScopeError,
                              SingularTargetError)
 from matchctl.fields import fd_derivative
 from matchctl.geometry import acceleration, christoffel_from_derivative
 from matchctl.matching import actuated_scalar_field
+from matchctl.rk4 import rk4_step
 from matchctl.shapes import constant_profile
 from matchctl.synthesis import (analytic_rest_linearization, germ_check,
                                 linear_gains_from_blocks,
@@ -123,6 +124,91 @@ def test_blowup_carries_the_last_good_node():
     assert 0.0 < err.value.t < 20.0
     assert np.all(np.isfinite(err.value.state.x))
     assert np.max(np.abs(err.value.state.x)) <= 1e3
+
+
+def _free_plane(gradient):
+    return MechanicalSystem(
+        n=2, m=1, metric=Field.constant(np.eye(2)),
+        potential=ScalarField(lambda x: 0.0, gradient=gradient),
+        dissipation=DissipationField.zero(2))
+
+
+def test_overflow_inside_a_step_is_a_blowup():
+    # the first slope is infinite, so the second stage is not finite
+    steep = _free_plane(lambda x: -np.exp(x ** 2))
+    s0 = State(np.array([27.0, 0.0]), np.zeros(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as err:
+            simulate(steep, s0, T=1.0, dt=1e-2, blowup=1e3)
+    assert err.value.t == 0.0
+    assert np.array_equal(err.value.state.x, s0.x)
+    assert np.array_equal(err.value.state.xdot, s0.xdot)
+
+
+@pytest.mark.parametrize("source", ["field", "controller"])
+def test_domain_error_at_a_finite_stage_stays_a_domain_error(source):
+    def fence(x):
+        if abs(x[0]) > 0.5:
+            raise DomainError("left the chart")
+
+    def gradient(x):
+        if source == "field":
+            fence(x)
+        return -np.asarray(x)
+
+    def controller(s):
+        if source == "controller":
+            fence(s.x)
+        return np.zeros(2)
+
+    s0 = State(np.array([0.1, 0.1]), np.zeros(2))
+    with pytest.raises(DomainError):
+        simulate(_free_plane(gradient), s0, T=20.0, dt=1e-2,
+                 controller=controller, blowup=1e3)
+
+
+def test_closed_loop_evaluates_each_node_once():
+    law = matched_controller(SYS, TARGET)
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return law(s)
+
+    k = 20
+    traj = simulate(SYS, S0, T=k * 1e-2, dt=1e-2, controller=counted)
+    assert len(calls) == 4 * k + 1
+    for i in range(k + 1):
+        assert np.array_equal(traj.controls[i], law(traj.state_at(i)))
+
+
+def test_target_run_evaluates_each_stage_once(monkeypatch):
+    calls = []
+
+    def counted(target, s):
+        calls.append(s)
+        return target_acceleration(target, s)
+
+    monkeypatch.setattr(synthesis, "target_acceleration", counted)
+    k = 20
+    simulate(TARGET, S0, T=k * 1e-2, dt=1e-2)
+    assert len(calls) <= 4 * k
+
+
+def test_rk4_step_reuses_a_given_first_slope():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return np.array([z[1], -np.sin(z[0]) - 0.3 * z[1]])
+
+    z = np.array([0.7, -0.2])
+    plain = rk4_step(f, z, 0.05)
+    assert len(calls) == 4
+    k1 = f(z)
+    reused = rk4_step(f, z, 0.05, k1)
+    assert len(calls) == 8
+    assert np.array_equal(reused, plain)
 
 
 def test_rest_point_holds_exactly():
