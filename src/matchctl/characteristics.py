@@ -368,23 +368,28 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
         warnings=tuple(warnings))
 
 
-def _carry_rhs(sys, ratio):
-    """Right side of the coupled (position, metric, potential) system.
+def _carry_slope(sys, ratio, x, gh):
+    """Slopes of the carried payload along the flow at x.
 
-    The state packs x, the rows of gh and vh into one vector.
     d(gh)/dt = d0(g)(x) - J^T gh - gh J with J the Jacobian of the
-    transport row, d(vh)/dt the unactuated potential slope; both follow
-    from contracting the compatibility equations with the row.
+    transport row, and d(vh)/dt is the unactuated potential slope; both
+    follow from contracting the compatibility equations with the row.
     """
+    jac = ratio.derivative(x)[0]
+    dg0 = sys.metric.derivative(x)[:, :, 0]
+    return dg0 - jac.T @ gh - gh @ jac, sys.potential.gradient(x)[0]
+
+
+def _carry_rhs(sys, ratio):
+    """Right side of the coupled (position, metric, potential) system,
+    whose state packs x, the rows of gh and vh into one vector."""
     n = sys.n
 
     def rhs(z):
-        x, gh = z[:n], z[n:-1].reshape(n, n)
+        x = z[:n]
         lam = _drive_row(ratio, x)
-        jac = ratio.derivative(x)[0]
-        dg0 = sys.metric.derivative(x)[:, :, 0]
-        return np.concatenate((lam, (dg0 - jac.T @ gh - gh @ jac).ravel(),
-                               [sys.potential.gradient(x)[0]]))
+        slope_g, slope_v = _carry_slope(sys, ratio, x, z[n:-1].reshape(n, n))
+        return np.concatenate((lam, slope_g.ravel(), [slope_v]))
 
     return rhs
 
@@ -417,13 +422,10 @@ def _transport_defect(sys, ratio, times, states, metric, potential):
     lo, hi = (2, times.size - 2) if times.size >= 5 else (1, times.size - 1)
     for i in range(states.shape[0]):
         for j in range(lo, hi):
-            x = states[i, j]
-            jac = ratio.derivative(x)[0]
-            dg0 = sys.metric.derivative(x)[:, :, 0]
-            gdot = _time_slope(metric[i], times, j)
-            vdot = _time_slope(potential[i], times, j)
-            lhs_g = gdot + jac.T @ metric[i, j] + metric[i, j] @ jac - dg0
-            lhs_v = vdot - sys.potential.gradient(x)[0]
+            slope_g, slope_v = _carry_slope(sys, ratio, states[i, j],
+                                            metric[i, j])
+            lhs_g = _time_slope(metric[i], times, j) - slope_g
+            lhs_v = _time_slope(potential[i], times, j) - slope_v
             worst_g = max(worst_g, float(np.max(np.abs(lhs_g))))
             worst_v = max(worst_v, abs(float(lhs_v)))
     return worst_g, worst_v

@@ -64,13 +64,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         ratio = _offset_ratio(ratio, run.ratio_offset)
     points = _sample_points(cfg, rng)
 
-    worst_t, where_t = -1.0, (0, 0, 0)
-    at_t = None
-    for x in points:
-        res = np.abs(transport_residual(bundle.system, ratio, x))
-        k = np.unravel_index(int(np.argmax(res)), res.shape)
-        if res[k] > worst_t:
-            worst_t, where_t, at_t = float(res[k]), k, x
+    # maxima below propagate NaN, so a non-finite residual fails the verdict
+    t_res = [np.abs(transport_residual(bundle.system, ratio, x)) for x in points]
+    i = int(np.argmax([r.max() for r in t_res]))
+    where_t = np.unravel_index(int(np.argmax(t_res[i])), t_res[i].shape)
+    worst_t, at_t = float(t_res[i][where_t]), points[i]
 
     lines = ["fixture: %s" % bundle.name,
              "samples: %d  tolerance: %.3e" % (run.samples, run.tolerance),
@@ -80,23 +78,21 @@ def cmd_verify(cfg: RunConfig) -> int:
     worst = worst_t
 
     if bundle.target is not None:
-        worst_m = -1.0
-        for x in points:
-            v = rng.standard_normal(bundle.system.n)
-            res = np.max(np.abs(matching_residual(bundle.system, ratio,
-                                                  bundle.target, State(x, v))))
-            worst_m = max(worst_m, float(res))
+        worst_m = float(np.max([
+            np.max(np.abs(matching_residual(
+                bundle.system, ratio, bundle.target,
+                State(x, rng.standard_normal(bundle.system.n)))))
+            for x in points]))
         lines.append("matching residual: max %.6e over unactuated axes"
                      % worst_m)
-        worst = max(worst, worst_m)
+        worst = np.maximum(worst, worst_m)
 
     if bundle.overlap is not None:
-        worst_j = -1.0
-        for x in points:
-            worst_j = max(worst_j, basic_jet_residual(
-                bundle.system, x, ratio, bundle.overlap))
+        worst_j = float(np.max([basic_jet_residual(bundle.system, x, ratio,
+                                                   bundle.overlap)
+                                for x in points]))
         lines.append("jet residual: max %.6e" % worst_j)
-        worst = max(worst, worst_j)
+        worst = np.maximum(worst, worst_j)
 
     ok = worst <= run.tolerance
     lines.append("verdict: %s (worst %.6e vs tolerance %.3e)"
@@ -203,8 +199,9 @@ def cmd_rigidity(cfg: RunConfig) -> int:
     rng = np.random.default_rng(run.require_seed("rigidity"))
     points = _sample_points(cfg, rng)
     reports = rigidity_probe(bundle.system, points)
-    worst_res = max(basic_jet_residual(bundle.system, x, bundle.ratio,
-                                       bundle.overlap) for x in points)
+    worst_res = float(np.max([basic_jet_residual(bundle.system, x, bundle.ratio,
+                                                 bundle.overlap)
+                              for x in points]))
     lines = ["fixture: %s" % bundle.name,
              "points: %d  basic-family jet residual: max %.6e"
              % (len(points), worst_res)]
@@ -220,7 +217,7 @@ def cmd_rigidity(cfg: RunConfig) -> int:
     if run.expect_dimension is not None:
         lines.append("off-locus mismatches: %d" % bad)
     _emit(cfg, "rigidity-report.txt", "\n".join(lines) + "\n")
-    return 1 if bad else 0
+    return 1 if bad or not np.isfinite(worst_res) else 0
 
 
 def cmd_sweep(cfg: RunConfig, config_path: str) -> int:

@@ -56,6 +56,8 @@ def _float(node, key, path, default=None, positive=False, nonnegative=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("%s.%s: expected a number" % (path, key))
     v = float(v)
+    if not np.isfinite(v):
+        raise ConfigError("%s.%s: must be a finite number" % (path, key))
     if positive and not v > 0.0:
         raise ConfigError("%s.%s: must be positive" % (path, key))
     if nonnegative and v < 0.0:
@@ -76,14 +78,20 @@ def _int(node, key, path, default=None, minimum=None):
     return v
 
 
+def _numbers(v, where):
+    if not isinstance(v, list) or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) for e in v):
+        raise ConfigError("%s: expected a list of numbers" % where)
+    arr = np.asarray(v, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigError("%s: entries must be finite" % where)
+    return arr
+
+
 def _vector(node, key, path, size=None):
     if key not in node:
         return None
-    v = node[key]
-    if not isinstance(v, list) or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) for e in v):
-        raise ConfigError("%s.%s: expected a list of numbers" % (path, key))
-    arr = np.asarray(v, dtype=float)
+    arr = _numbers(node[key], "%s.%s" % (path, key))
     if size is not None and arr.size != size:
         raise ConfigError("%s.%s: expected %d entries, got %d"
                           % (path, key, size, arr.size))
@@ -212,7 +220,8 @@ def _build_double_pendulum(params, path):
     if (not isinstance(rows, list) or len(rows) != 3
             or any(not isinstance(r, list) or len(r) != 3 for r in rows)):
         raise ConfigError(path + ".masses: expected a 3x3 list of numbers")
-    masses = np.asarray(rows, dtype=float)
+    masses = np.array([_numbers(r, "%s.masses[%d]" % (path, i))
+                       for i, r in enumerate(rows)])
     weights = _vector(params, "weights", path, 3)
     weights = (1.0, 1.0, 1.0) if weights is None else tuple(weights)
     lead = _float(params, "leading_overlap", path, default=1.0)

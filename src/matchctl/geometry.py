@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, SingularMetricError
 from .fields import DissipationField, Field, ScalarField
+from .targets import TargetSystem
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,9 @@ def christoffel_from_derivative(d: np.ndarray) -> np.ndarray:
     return 0.5 * (np.transpose(d, (2, 0, 1)) + np.transpose(d, (0, 2, 1)) - d)
 
 
-def christoffel_first(sys: MechanicalSystem, x) -> np.ndarray:
-    """First-kind symbols G[i, j, k] of the plant metric at x."""
-    d = sys.metric.derivative(x)  # d[i, j, k] = d g_ij / d x_k
+def christoffel_first(model: MechanicalSystem | TargetSystem, x) -> np.ndarray:
+    """First-kind symbols G[i, j, k] of the model's kinetic matrix at x."""
+    d = model.metric.derivative(x)  # d[i, j, k] = d g_ij / d x_k
     if not np.isfinite(d).all():
         raise DomainError("metric derivative has non-finite entries")
     return christoffel_from_derivative(d)
@@ -125,17 +126,22 @@ def quadratic_velocity_force(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     return np.einsum("jkr,j,k->r", gamma, xdot, xdot)
 
 
+def force(model: MechanicalSystem | TargetSystem, s: State) -> np.ndarray:
+    """Velocity-quadratic, dissipative and potential force at the state:
+    G[j,k,r] xd^j xd^k + C_r + dV/dx^r, for a plant or a shaped target."""
+    x, v = s.x, s.xdot
+    return (quadratic_velocity_force(christoffel_first(model, x), v)
+            + model.dissipation(x, v) + model.potential.gradient(x))
+
+
 def acceleration(sys: MechanicalSystem, s: State, u: np.ndarray) -> np.ndarray:
     """Solve the equations of motion for xdd at the given state and control."""
     u = np.asarray(u, dtype=float)
     if u.shape != (sys.n,) or not np.isfinite(u).all():
         raise DomainError("control vector has wrong shape or non-finite entries")
     g = sys.metric_at(s.x)
-    gamma = christoffel_first(sys, s.x)
-    rhs = (u - quadratic_velocity_force(gamma, s.xdot)
-           - sys.dissipation(s.x, s.xdot) - sys.potential.gradient(s.x))
     try:
-        return np.linalg.solve(g, rhs)
+        return np.linalg.solve(g, u - force(sys, s))
     except np.linalg.LinAlgError as exc:
         raise SingularMetricError(
             f"metric is singular at x={s.x}, cannot solve for acceleration") from exc

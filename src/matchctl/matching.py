@@ -3,22 +3,30 @@
 The shaped system mimics the plant exactly when the ratio field
 r[a, i] = (g G^{-1})_a^i, with G the target kinetic matrix, satisfies a
 first-order transport system in the unactuated rows, and the shaped
-potential and velocity force solve the corresponding contracted equations.  Writing the overlap data
+potential and velocity force solve the corresponding contracted
+equations: the plant's force (geometry.force) minus the r-image of the
+target's vanishes on the unactuated axes.  Writing the overlap data
 s_ab = g_ai r_b^i and eliminating the first m columns of r through the
-invertible block h = (g_ab)^{-1}, the transport system becomes
-linear-algebraic in the remaining columns:
+invertible block h = (g_ab)^{-1}, the transport system reads
 
-    A(x) . r_rest = F(x; s, ds),
+    d_k s_p = D[k, p] . s + B[k, p] . r_rest
 
-with one row per (direction k, unactuated pair a <= b).  Solvability of F
-against the left kernel of A is the compatibility condition the overlap
-data must satisfy.  This module assembles A and F, measures residuals of
+over unactuated pairs p = (a <= b), with (D, B) in closed form from g
+and its brackets (lambda_coefficients).  With row weights w (1/2 on
+diagonal pairs) it is linear-algebraic in the remaining columns,
+
+    A(x) . r_rest = F(x; s, ds),    A = w B,   F = w (ds - D s),
+
+with one row per (direction k, pair p).  Solvability of F against the
+left kernel of A is the compatibility condition the overlap data must
+satisfy.  This module assembles A and F, measures residuals of
 candidate solutions, recovers r from admissible overlap data, builds the
 one-parameter family of scaling solutions, and closes sets of kernel
 fields under commutators.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -28,8 +36,7 @@ import numpy as np
 from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
                      ScopeError)
 from .fields import Field, ScalarField, fd_derivative, scale_dissipation
-from .geometry import (MechanicalSystem, christoffel_first,
-                       christoffel_from_derivative, quadratic_velocity_force)
+from .geometry import MechanicalSystem, State, christoffel_first, force
 from .targets import TargetSystem
 
 KERNEL_TOL_FACTOR = 1e-10
@@ -68,36 +75,71 @@ def transport_residual(sys: MechanicalSystem, ratio: Field, x) -> np.ndarray:
 
 
 def matching_residual(sys: MechanicalSystem, ratio: Field | None,
-                      target: TargetSystem, s) -> np.ndarray:
+                      target: TargetSystem, s: State) -> np.ndarray:
     """Per unactuated index, the force the law would need on an unactuated axis.
 
     Zero exactly when the shaped system reproduces the plant's unactuated
     dynamics with no control.  `ratio` defaults to the rows of g G^{-1};
     passing a candidate field checks that field's consistency instead.
     """
-    x, xd = s.x, s.xdot
     m = sys.m
-    g = sys.metric_at(x)
     if ratio is None:
-        rmat = (g @ target.metric_inv(x))[:m, :]
+        rmat = (sys.metric_at(s.x) @ target.metric_inv(s.x))[:m, :]
     else:
-        rmat = ratio.value(x)
-    gam = christoffel_first(sys, x)
-    gamt = christoffel_from_derivative(target.metric.derivative(x))
-    quad = np.einsum("jka,j,k->a", gam[:, :, :m], xd, xd)
-    quad_t = quadratic_velocity_force(gamt, xd)
-    cvec = sys.dissipation(x, xd)
-    ctvec = target.dissipation(x, xd)
-    dv = sys.potential.gradient(x)
-    dvt = target.potential.gradient(x)
-    return (quad - rmat @ quad_t) + (cvec[:m] - rmat @ ctvec) + (dv[:m] - rmat @ dvt)
+        rmat = ratio.value(s.x)
+    return force(sys, s)[:m] - rmat @ force(target, s)
 
 
 # ---------------------------------------------------------------------------
 # the eliminated linear-algebraic system
 
-def _pairs(m: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(m) for b in range(a, m)]
+@dataclass(frozen=True)
+class PairBasis:
+    """Index data of the unactuated pairs p = (a <= b) for one m.
+
+    units stacks each pair's symmetric unit matrix E_p as rows p*m + c;
+    products[(a, e), (p, q)] = (E_p E_q)[a, e] / w_p; weights w are 1/2
+    on diagonal pairs and 1 elsewhere; first/second give a_p and b_p.
+    """
+
+    units: np.ndarray       # (P*m, m)
+    products: np.ndarray    # (m*m, P*P)
+    weights: np.ndarray     # (P,)
+    first: np.ndarray       # (P,)
+    second: np.ndarray      # (P,)
+
+
+@functools.lru_cache(maxsize=None)
+def pair_basis(m: int) -> PairBasis:
+    first, second = np.triu_indices(m)
+    units = np.zeros((first.size, m, m))
+    units[np.arange(first.size), first, second] = 1.0
+    units[np.arange(first.size), second, first] = 1.0
+    weights = np.where(first == second, 0.5, 1.0)
+    products = (units[:, None] @ units[None, :]) / weights[:, None, None, None]
+    arrays = (units.reshape(-1, m), products.reshape(first.size ** 2, m * m).T,
+              weights, first, second)
+    for arr in arrays:      # shared by every caller through the cache
+        arr.flags.writeable = False
+    return PairBasis(*arrays)
+
+
+def lambda_coefficients(g: np.ndarray, gam: np.ndarray, m: int):
+    """(D, B) of d_k s_p = D[k, p] . s + B[k, p] . free at one point.
+
+    From the metric g and its first-kind brackets gam alone; pairs
+    p = (a <= b), free entries j = c * (n - m) + (rho - m).
+    """
+    n = g.shape[0]
+    basis = pair_basis(m)
+    pp = basis.weights.size
+    coupled = gam[:, :m, :m] @ np.linalg.inv(g[:m, :m])      # G[k,a,b] h[b,d]
+    reduced = gam[:, :m, m:] - coupled @ g[:m, m:]           # [k, a, rho]
+    # entry (a_p, b_p) of C S + S C^T at S = E_q (C = coupled), and of
+    # R F^T + F R^T at each unit free matrix F (R = reduced)
+    D = (coupled.reshape(n, m * m) @ basis.products).reshape(n, pp, pp)
+    B = (basis.units @ reduced).reshape(n, pp, m * (n - m))
+    return D, B / basis.weights[:, None]
 
 
 @dataclass(frozen=True)
@@ -107,8 +149,9 @@ class CompatibilitySystem:
     Rows are ordered direction-major: row(k, pair p) = k * P + p with P the
     number of unactuated pairs (a <= b, lexicographic).  Columns are ordered
     row-major over the free ratio entries: col(c, rho) = c * (n - m) + (rho - m).
-    Diagonal-pair rows carry a 1/2 factor, so in the single-unactuated case
-    the transpose of A is built entrywise from the reduced brackets.
+    Row (k, p) is w_p B[k, p] with w = 1/2 on diagonal pairs, so in the
+    single-unactuated case the transpose of A is built entrywise from the
+    reduced brackets.
     """
 
     matrix: np.ndarray            # A
@@ -119,46 +162,12 @@ class CompatibilitySystem:
     n: int
     m: int
 
-    def row_index(self, k: int, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        return k * len(_pairs(self.m)) + _pairs(self.m).index((a, b))
-
-    def col_index(self, c: int, rho: int) -> int:
-        return c * (self.n - self.m) + (rho - self.m)
-
-
-def _elimination_data(sys: MechanicalSystem, x):
-    """Shared pieces: metric, brackets, actuated-block inverse, reduced brackets."""
-    m = sys.m
-    g = sys.metric_at(x)
-    gam = christoffel_first(sys, x)
-    h = np.linalg.inv(g[:m, :m])  # principal block of an SPD matrix: invertible
-    # reduced[k, a, rho] = G[k,a,rho] - G[k,a,beta] h[beta,d] g[d,rho]
-    reduced = (gam[:, :m, m:]
-               - np.einsum("kab,bd,dr->kar", gam[:, :m, :m], h, g[:m, m:]))
-    return g, gam, h, reduced
-
-
-def _assemble_matrix(sys: MechanicalSystem, x) -> np.ndarray:
-    m, n = sys.m, sys.n
-    pairs = _pairs(m)
-    _, _, _, reduced = _elimination_data(sys, x)
-    A = np.zeros((n * len(pairs), m * (n - m)))
-    for k in range(n):
-        for p, (a, b) in enumerate(pairs):
-            r = k * len(pairs) + p
-            if a == b:
-                A[r, a * (n - m):(a + 1) * (n - m)] = reduced[k, a]
-            else:
-                A[r, b * (n - m):(b + 1) * (n - m)] += reduced[k, a]
-                A[r, a * (n - m):(a + 1) * (n - m)] += reduced[k, b]
-    return A
-
 
 def assemble_compatibility(sys: MechanicalSystem, x) -> CompatibilitySystem:
     """Assemble A at x and compute its rank and both kernels by SVD."""
-    A = _assemble_matrix(sys, x)
+    _, B = lambda_coefficients(sys.metric_at(x), christoffel_first(sys, x),
+                               sys.m)
+    A = (pair_basis(sys.m).weights[:, None] * B).reshape(-1, B.shape[-1])
     u, sv, vt = np.linalg.svd(A)
     smax = sv[0] if sv.size else 0.0
     tol = KERNEL_TOL_FACTOR * max(smax, 1.0)
@@ -169,24 +178,15 @@ def assemble_compatibility(sys: MechanicalSystem, x) -> CompatibilitySystem:
 
 
 def compatibility_rhs(sys: MechanicalSystem, overlap: Field, x) -> np.ndarray:
-    """Right-hand side F at x for the overlap data (same row order and scaling as A)."""
-    m, n = sys.m, sys.n
+    """Right-hand side F = w (ds - D s) at x, in the row order of A."""
+    m = sys.m
     sv = overlap.value(x)
     if sv.shape != (m, m):
         raise DomainError("overlap data has the wrong shape for this system")
-    pairs = _pairs(m)
-    _, gam, h, _ = _elimination_data(sys, x)
-    ds = overlap.derivative(x)  # [a, b, k]
-    coupled = np.einsum("kab,bd,dc->kac", gam[:, :m, :m], h, sv)  # [k, a, c]
-    F = np.zeros(n * len(pairs))
-    for k in range(n):
-        for p, (a, b) in enumerate(pairs):
-            r = k * len(pairs) + p
-            if a == b:
-                F[r] = 0.5 * ds[a, a, k] - coupled[k, a, a]
-            else:
-                F[r] = ds[a, b, k] - coupled[k, a, b] - coupled[k, b, a]
-    return F
+    basis = pair_basis(m)
+    D, _ = lambda_coefficients(sys.metric_at(x), christoffel_first(sys, x), m)
+    ds = overlap.derivative(x)[basis.first, basis.second].T     # [k, p]
+    return (basis.weights * (ds - D @ sv[basis.first, basis.second])).ravel()
 
 
 def solvability_residual(sys: MechanicalSystem, overlap, x,

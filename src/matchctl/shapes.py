@@ -17,12 +17,11 @@ class Profile:
     """Scalar function on R^d with gradient and Hessian."""
 
     def __init__(self, value: Callable, gradient: Callable, hessian: Callable,
-                 dim: int, spec: dict | None = None):
+                 dim: int):
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
         self.dim = dim
-        self.spec = spec or {}
 
     def __call__(self, y) -> float:
         return float(self._value(np.asarray(y, dtype=float)))
@@ -36,10 +35,8 @@ class Profile:
 
 def constant_profile(c: float, dim: int = 2) -> Profile:
     c = float(c)
-    return Profile(lambda y: c,
-                   lambda y: np.zeros(dim),
-                   lambda y: np.zeros((dim, dim)),
-                   dim, {"kind": "constant", "c": c})
+    return Profile(lambda y: c, lambda y: np.zeros(dim),
+                   lambda y: np.zeros((dim, dim)), dim)
 
 
 def quadratic_profile(quad, lin=None, offset: float = 0.0) -> Profile:
@@ -49,12 +46,12 @@ def quadratic_profile(quad, lin=None, offset: float = 0.0) -> Profile:
     if Q.shape != (d, d) or np.max(np.abs(Q - Q.T)) > 0:
         raise ConfigError("quadratic profile needs a symmetric coefficient matrix")
     b = np.zeros(d) if lin is None else np.asarray(lin, dtype=float)
+    if b.shape != (d,):
+        raise ConfigError(f"quadratic profile needs {d} linear coefficients")
     c = float(offset)
     return Profile(lambda y: y @ Q @ y + b @ y + c,
                    lambda y: 2.0 * (Q @ y) + b,
-                   lambda y: 2.0 * Q,
-                   d, {"kind": "quadratic", "quad": Q.tolist(),
-                       "lin": b.tolist(), "offset": c})
+                   lambda y: 2.0 * Q, d)
 
 
 def cosine_profile(amplitude: float, freq, phase: float = 0.0,
@@ -72,9 +69,7 @@ def cosine_profile(amplitude: float, freq, phase: float = 0.0,
     def hess(y):
         return -amp * np.cos(k @ y + ph) * np.outer(k, k)
 
-    return Profile(val, grad, hess, k.size,
-                   {"kind": "cosine", "amplitude": amp, "freq": k.tolist(),
-                    "phase": ph, "offset": c})
+    return Profile(val, grad, hess, k.size)
 
 
 _BUILDERS = {
@@ -88,7 +83,8 @@ _BUILDERS = {
 
 
 def profile_from_spec(spec: dict, dim: int) -> Profile:
-    """Build a catalog profile from a config mapping {kind: ..., params}."""
+    """Build a catalog profile from a config mapping {kind: ..., params},
+    every parameter a finite number or a list of finite numbers."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("profile spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
@@ -96,9 +92,18 @@ def profile_from_spec(spec: dict, dim: int) -> Profile:
         raise ConfigError(f"unknown profile kind '{kind}' "
                           f"(available: {sorted(_BUILDERS)})")
     try:
+        for key, v in spec.items():
+            arr = np.asarray(v)
+            if key != "kind" and (arr.dtype.kind not in "iuf"
+                                  or not np.isfinite(arr).all()):
+                raise ConfigError(f"parameter '{key}' must be a finite "
+                                  "number or a list of them")
         p = _BUILDERS[kind](spec, dim)
     except KeyError as exc:
         raise ConfigError(f"profile kind '{kind}' missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"profile kind '{kind}' has a malformed "
+                          f"parameter: {exc}") from exc
     if p.dim != dim:
         raise ConfigError(f"profile has dimension {p.dim}, expected {dim}")
     return p

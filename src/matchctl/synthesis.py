@@ -26,9 +26,9 @@ import numpy as np
 from .errors import (BlowUpError, DomainError, MatchctlError,
                      NotAnEquilibriumError, ScopeError)
 from .fields import FD_STEP, fd_derivative
-from .geometry import (MechanicalSystem, State, acceleration,
-                       christoffel_first, christoffel_from_derivative,
-                       quadratic_velocity_force)
+# christoffel_first is imported by name so perfbench/spans.py can patch it
+from .geometry import (MechanicalSystem, State, acceleration,  # noqa: F401
+                       christoffel_first, force)
 from .matching import matching_residual
 from .rk4 import rk4_step
 from .targets import TargetSystem
@@ -45,16 +45,8 @@ def shaped_energy(target: TargetSystem, s: State) -> float:
     return float(0.5 * s.xdot @ g @ s.xdot + target.potential(s.x))
 
 
-def _target_force(target: TargetSystem, s: State) -> np.ndarray:
-    """Velocity-quadratic, dissipative and potential forces of the target."""
-    gam = christoffel_from_derivative(target.metric.derivative(s.x))
-    return (quadratic_velocity_force(gam, s.xdot)
-            + target.dissipation(s.x, s.xdot)
-            + target.potential.gradient(s.x))
-
-
 def target_acceleration(target: TargetSystem, s: State) -> np.ndarray:
-    return target.metric_solve(s.x, -_target_force(target, s))
+    return target.metric_solve(s.x, -force(target, s))
 
 
 def control_law(sys: MechanicalSystem, target: TargetSystem,
@@ -68,11 +60,8 @@ def control_law(sys: MechanicalSystem, target: TargetSystem,
     vanish identically; they are returned as computed so callers can
     monitor the defect.
     """
-    x, v = s.x, s.xdot
-    g = sys.metric_at(x)
-    plant = (quadratic_velocity_force(christoffel_first(sys, x), v)
-             + sys.dissipation(x, v) + sys.potential.gradient(x))
-    return plant - g @ target.metric_solve(x, _target_force(target, s))
+    g = sys.metric_at(s.x)
+    return force(sys, s) - g @ target.metric_solve(s.x, force(target, s))
 
 
 def matched_controller(sys: MechanicalSystem,
@@ -106,13 +95,14 @@ class Trajectory:
 
 
 def _step_count(T: float, dt: float) -> int:
-    if dt <= 0 or T <= 0:
-        raise DomainError("T and dt must be positive")
+    if not (0 < T < np.inf and 0 < dt < np.inf):
+        raise DomainError("T and dt must be positive and finite")
+    if T / dt > MAX_STEPS + 0.5:
+        raise DomainError(f"{T / dt:.6g} steps exceeds the {MAX_STEPS} "
+                          "step budget")
     k = int(round(T / dt))
     if k == 0 or abs(k * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise DomainError(f"T={T} is not an integer multiple of dt={dt}")
-    if k > MAX_STEPS:
-        raise DomainError(f"{k} steps exceeds the {MAX_STEPS} step budget")
     return k
 
 

@@ -262,14 +262,6 @@ class StabilityCondition:
     reference: float
     ok: bool
 
-    @property
-    def margin(self) -> float:
-        if self.kind == "positive":
-            return self.value
-        if self.kind == "negative":
-            return -self.value
-        return -abs(self.value - self.reference)
-
 
 @dataclass(frozen=True)
 class StabilityVerdict:
@@ -290,8 +282,8 @@ def upright_stability_check(p: PendulumParams) -> StabilityVerdict:
     """Sufficient conditions for the upright rest point to attract locally.
 
     Sign conditions on the shaping data at the origin plus two coupled
-    inequalities on (a, tilt_ratio, sway_ratio, block22(0)).  All margins
-    are reported; the verdict passes only if every condition holds.
+    inequalities on (a, tilt_ratio, sway_ratio, block22(0)).  Every
+    condition's value is reported; the verdict passes only if all hold.
     """
     p = p.resolved()
     y0 = np.zeros(2)

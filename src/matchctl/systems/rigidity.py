@@ -2,7 +2,9 @@
 
 The first-order matching equations force, at every point, linear
 relations among the overlap entries, their first derivatives, and the
-free (actuated-column) ratio components.  When a plant admits families
+free (actuated-column) ratio components; their coefficients (D, B) are
+those of matching.lambda_coefficients, the kernel the compatibility
+matrix A is assembled from.  When a plant admits families
 beyond the pure scaling one, the relations leave slack; when it does
 not, they pin everything down to a single scale.  This module measures
 that slack as the dimension of the pointwise solution set.
@@ -18,12 +20,12 @@ nullity in the closed case and the stage-A nullity otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..geometry import MechanicalSystem, christoffel_first
-from ..matching import _pairs
+from ..matching import lambda_coefficients, pair_basis
 
 COEFF_TOL = 1e-9
 KERNEL_TOL = 1e-10
@@ -38,39 +40,12 @@ def transport_coefficients(sys: MechanicalSystem, x):
 
     Returns (D, B) with the true (unscaled) relations
     d_k overlap_p = D[k, p, :] . overlap + B[k, p, :] . free
-    over pairs p = (a <= b) and free components j = (row, actuated col).
-    Assembled by evaluating the right side on unit inputs.
+    over pairs p = (a <= b) and free components j = (row, actuated col),
+    in closed form from the metric and its first-kind brackets at x
+    (matching.lambda_coefficients, the kernel A and F are built from).
     """
-    m, n = sys.m, sys.n
-    x = np.asarray(x, dtype=float)
-    g = sys.metric_at(x)
-    gam = christoffel_first(sys, x)
-    h = np.linalg.inv(g[:m, :m])
-    pairs = _pairs(m)
-    p2, f = len(pairs), m * (n - m)
-
-    def rhs(overlap, free):
-        lam = np.empty((m, n))
-        lam[:, m:] = free
-        lam[:, :m] = (overlap - free @ g[m:, :m]) @ h.T
-        out = np.empty((n, p2))
-        for k in range(n):
-            blk = gam[k, :m, :] @ lam.T        # [ka, i] lam_b^i
-            sym = blk + blk.T
-            out[k] = [sym[a, b] for a, b in pairs]
-        return out
-
-    D = np.empty((n, p2, p2))
-    for q, (a, b) in enumerate(pairs):
-        unit = np.zeros((m, m))
-        unit[a, b] = unit[b, a] = 1.0
-        D[:, :, q] = rhs(unit, np.zeros((m, n - m)))
-    B = np.empty((n, p2, f))
-    for j in range(f):
-        unit = np.zeros((m, n - m))
-        unit[j // (n - m), j % (n - m)] = 1.0
-        B[:, :, j] = rhs(np.zeros((m, m)), unit)
-    return D, B
+    return lambda_coefficients(sys.metric_at(x), christoffel_first(sys, x),
+                               sys.m)
 
 
 def _coeff_rates(sys, x, direction, step=FD_STEP):
@@ -110,34 +85,31 @@ class JetReport:
 def _zero_directions(sys, x, rng_offsets):
     """Directions along which every transport coefficient vanishes, judged
     at x and at fixed nearby offsets so point-specific zeros don't count."""
-    n = sys.n
-    norms = np.zeros(n)
+    norms = np.zeros(sys.n)
     for dx in rng_offsets:
         D, B = transport_coefficients(sys, x + dx)
-        for k in range(n):
-            norms[k] = max(norms[k], np.abs(D[k]).max(), np.abs(B[k]).max())
-    return [k for k in range(n) if norms[k] < COEFF_TOL], norms
+        norms = np.max([norms, np.abs(D).max(axis=(1, 2)),
+                        np.abs(B).max(axis=(1, 2))], axis=0)
+    return [k for k in range(sys.n) if norms[k] < COEFF_TOL], norms
 
 
 def jet_dimension(sys: MechanicalSystem, x) -> JetReport:
     """Dimension of the pointwise solution set of the 1-jet relations at x."""
     x = np.asarray(x, dtype=float)
-    n, m = sys.n, sys.m
-    pairs = _pairs(m)
-    p2, f = len(pairs), m * (n - m)
+    n = sys.n
     warnings = []
 
     offsets = [np.zeros(n)] + [0.05 * np.eye(n)[i] for i in range(n)]
     zdirs, _ = _zero_directions(sys, x, offsets)
     nz = len(zdirs)
     D, B = transport_coefficients(sys, x)
+    _, p2, f = B.shape
 
     # layout: overlap (p2) | d overlap (p2*n) | free (f) | d free (f*nz)
-    cols = p2 + p2 * n + f + f * nz
-    o_at = lambda p: p
+    fr0 = p2 + p2 * n
+    cols = fr0 + f + f * nz
     do_at = lambda p, k: p2 + p * n + k
-    fr_at = lambda j: p2 + p2 * n + j
-    dfr_at = lambda j, zi: p2 + p2 * n + f + j * nz + zi
+    dfr_at = lambda j, zi: fr0 + f + j * nz + zi
 
     rows = []
     for k in range(n):
@@ -145,7 +117,7 @@ def jet_dimension(sys: MechanicalSystem, x) -> JetReport:
             row = np.zeros(cols)
             row[do_at(p, k)] = 1.0
             row[:p2] -= D[k, p]
-            row[fr_at(0):fr_at(0) + f] -= B[k, p]
+            row[fr0:fr0 + f] -= B[k, p]
             rows.append(row)
     for zi, ell in enumerate(zdirs):
         dD, dB = _coeff_rates(sys, x, ell)
@@ -159,7 +131,7 @@ def jet_dimension(sys: MechanicalSystem, x) -> JetReport:
                 row[:p2] += dD[k, p]
                 for q in range(p2):
                     row[do_at(q, ell)] += D[k, p, q]
-                row[fr_at(0):fr_at(0) + f] += dB[k, p]
+                row[fr0:fr0 + f] += dB[k, p]
                 for j in range(f):
                     row[dfr_at(j, zi)] += B[k, p, j]
                 rows.append(row)
@@ -171,7 +143,7 @@ def jet_dimension(sys: MechanicalSystem, x) -> JetReport:
         warnings.append(f"stage A rank is marginal (min/max singular value "
                         f"{kept[-1] / kept[0]:.1e})")
 
-    free_block = kernel[fr_at(0):, :]
+    free_block = kernel[fr0:, :]
     killed = bool(free_block.size == 0 or np.abs(free_block).max() < SECTOR_TOL)
     if not killed:
         return JetReport(dimension=nullity_a, stage_a_nullity=nullity_a,
@@ -231,19 +203,12 @@ def basic_jet_residual(sys: MechanicalSystem, x, ratio, overlap) -> float:
     system; used to confirm the scaling family before trusting the
     dimension count."""
     x = np.asarray(x, dtype=float)
-    n, m = sys.n, sys.m
-    pairs = _pairs(m)
+    basis = pair_basis(sys.m)
     D, B = transport_coefficients(sys, x)
-    ov = overlap.value(x)
-    dov = overlap.derivative(x)
-    free = ratio.value(x)[:, m:]
-    vec_o = np.array([ov[a, b] for a, b in pairs])
-    worst = 0.0
-    for k in range(n):
-        for p, (a, b) in enumerate(pairs):
-            lhs = dov[a, b, k]
-            rhs = D[k, p] @ vec_o + B[k, p] @ free.ravel()
-            worst = max(worst, abs(lhs - rhs))
+    ov = overlap.value(x)[basis.first, basis.second]
+    dov = overlap.derivative(x)[basis.first, basis.second].T     # [k, p]
+    free = ratio.value(x)[:, sys.m:].ravel()
+    worst = float(np.max(np.abs(dov - D @ ov - B @ free)))
     scale = max(1.0, np.abs(D).max(), np.abs(B).max())
     return worst / scale
 
@@ -262,12 +227,8 @@ def rigidity_probe(sys: MechanicalSystem, points) -> list[JetReport]:
         prox = min(abs(np.sin(x[i] - x[j]))
                    for i in range(len(x)) for j in range(i + 1, len(x)))
         if prox < LOCUS_WARN:
-            rep = JetReport(
-                dimension=rep.dimension, stage_a_nullity=rep.stage_a_nullity,
-                free_sector_killed=rep.free_sector_killed,
-                stage_b_nullity=rep.stage_b_nullity, prolonged=rep.prolonged,
-                warnings=rep.warnings + (
-                    f"sample is within {LOCUS_WARN} of an angle-coincidence "
-                    "locus",))
+            rep = replace(rep, warnings=rep.warnings + (
+                f"sample is within {LOCUS_WARN} of an angle-coincidence "
+                "locus",))
         reports.append(rep)
     return reports

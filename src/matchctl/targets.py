@@ -46,7 +46,3 @@ class TargetSystem:
         except np.linalg.LinAlgError as exc:
             raise SingularTargetError(
                 f"target kinetic matrix is singular at x={np.asarray(x)}") from exc
-
-    def symmetry_defect(self, x) -> float:
-        g = self.metric.value(x)
-        return float(np.max(np.abs(g - g.T)))

@@ -1,10 +1,14 @@
 """End-to-end runs of the command-line front end through main(argv)."""
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from matchctl import cli
 from matchctl.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 PENDULUM = {
     "fixture": {"name": "pendulum", "params": {"a": 0.5, "b": 0.5}},
@@ -140,6 +144,66 @@ def test_rigidity_dimension_expectations(tmp_path, capsys):
     # only the chain fixture ships the constant family this probe needs
     assert main(["rigidity", "--config", _cfg(tmp_path, PENDULUM)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_overflowing_shipped_pendulum_does_not_pass(tmp_path, capsys):
+    with open(os.path.join(CONFIGS, "pendulum.yaml")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["fixture"]["params"]["block22"] = {
+        "kind": "cosine", "amplitude": 1.0e308, "freq": [1.0, 1.0],
+        "offset": 1.0e308}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--config", _cfg(tmp_path, doc)]) == 1
+    assert "verdict: pass" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,doc,hook", [
+    ("verify", PENDULUM, "matching_residual"),
+    ("verify", DOUBLE, "basic_jet_residual"),
+    ("rigidity", DOUBLE, "basic_jet_residual"),
+])
+def test_nan_residual_fails(tmp_path, capsys, monkeypatch, command, doc, hook):
+    real = getattr(cli, hook)
+    monkeypatch.setattr(cli, hook, lambda *a: real(*a) * np.nan)
+    assert main([command, "--config", _cfg(tmp_path, doc)]) == 1
+    out = capsys.readouterr().out
+    assert "max nan" in out
+    assert "verdict: pass" not in out
+
+
+@pytest.mark.parametrize("command,edit,where", [
+    ("simulate", ("run", "horizon", float("inf")), "run.horizon"),
+    ("verify", ("run", "tolerance", float("inf")), "run.tolerance"),
+    ("verify", ("params", "sway_ratio", float("nan")), "params.sway_ratio"),
+    ("verify", ("params", "block22", {"kind": "constant", "c": "abc"}),
+     "params.block22"),
+    ("verify", ("params", "well", {"kind": "quadratic",
+                                   "quad": [[1.0, 0.0], [0.0, float("nan")]]}),
+     "params.well"),
+    ("verify", ("params", "well", {"kind": "quadratic",
+                                   "quad": [[1.0, 0.0], [0.0, 1.0]],
+                                   "lin": [1.0, 2.0, 3.0]}), "params.well"),
+    ("verify", ("run", "center", [0.0, float("inf"), 0.0]), "run.center"),
+], ids=["horizon-inf", "tolerance-inf", "sway-nan", "profile-abc",
+        "profile-nan", "profile-lin-size", "center-inf"])
+def test_nonfinite_or_malformed_numbers_are_config_errors(
+        tmp_path, capsys, command, edit, where):
+    block, key, value = edit
+    doc = {"fixture": {"name": "pendulum", "params": {"a": 0.5, "b": 0.5}},
+           "run": {"seed": 11, "samples": 5}}
+    (doc["run"] if block == "run" else doc["fixture"]["params"])[key] = value
+    assert main([command, "--config", _cfg(tmp_path, doc)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_nonfinite_chain_masses_are_config_errors(tmp_path, capsys):
+    doc = {"fixture": {"name": "double-pendulum",
+                       "params": {"masses": [[2.0, 1.0, 0.5],
+                                             [1.0, float("nan"), 1.4],
+                                             [0.5, 1.4, 3.0]]}},
+           "run": DOUBLE["run"]}
+    assert main(["verify", "--config", _cfg(tmp_path, doc)]) == 2
+    assert "params.masses[1]" in capsys.readouterr().err
 
 
 def test_sweep_runs_subcommands_into_numbered_dirs(tmp_path, capsys):

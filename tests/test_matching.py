@@ -1,4 +1,6 @@
 """Compatibility operator, residuals, rank verdicts, and the scaling family."""
+import os
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,18 @@ from matchctl import (State, assemble_compatibility, matching_residual,
                       scaling_solution, transport_residual)
 from matchctl.errors import (DomainError, IndefiniteTargetError, ScopeError)
 from matchctl.fields import DissipationField, Field, ScalarField
-from matchctl.geometry import Box, MechanicalSystem
+from matchctl.geometry import Box, MechanicalSystem, christoffel_first
 from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, commutator,
                                involutive_closure, kernel_direction_fields,
-                               overlap_matrix, rank_condition, recover_ratio,
-                               solvability_residual)
+                               overlap_matrix, pair_basis, rank_condition,
+                               recover_ratio, solvability_residual)
+from matchctl.config import load_config
 from matchctl.systems import (PendulumParams, chained_pendulums,
                               pendulum_fixture, seesaw_cart)
+from matchctl.systems.rigidity import transport_coefficients
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 rng = np.random.default_rng(6)
 
@@ -40,6 +46,62 @@ def test_compatibility_matrix_closed_form():
         assert np.allclose(comp.matrix, want, atol=1e-14)
         assert comp.rank == 1
         assert comp.kernel_basis.shape[1] == 2
+
+
+def _probed_coefficients(sys, x):
+    """Reference (D, B): the transport right side evaluated on unit inputs."""
+    m, n = sys.m, sys.n
+    g, gam = sys.metric_at(x), christoffel_first(sys, x)
+    h = np.linalg.inv(g[:m, :m])
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+
+    def rhs(overlap, free):
+        lam = np.hstack(((overlap - free @ g[m:, :m]) @ h.T, free))
+        blk = gam[:, :m, :] @ lam.T
+        sym = blk + blk.transpose(0, 2, 1)
+        return np.array([sym[:, a, b] for a, b in pairs]).T      # [k, p]
+
+    def unit(shape, *idx):
+        e = np.zeros(shape)
+        for i in idx:
+            e[i] = 1.0
+        return e
+
+    D = np.stack([rhs(unit((m, m), (a, b), (b, a)), np.zeros((m, n - m)))
+                  for a, b in pairs], axis=-1)
+    B = np.stack([rhs(np.zeros((m, m)), unit((m, n - m), divmod(j, n - m)))
+                  for j in range(m * (n - m))], axis=-1)
+    return D, B
+
+
+@pytest.mark.parametrize("name", ["pendulum", "seesaw", "rollercoaster",
+                                  "double-pendulum"])
+def test_lambda_encodings_agree(name):
+    """A, the rigidity coefficients (D, B) and the transport residual are
+    one system: A = w B, and R = ds - D s - B free on each pair."""
+    bundle = load_config(os.path.join(CONFIGS, name + ".yaml")).fixture
+    sys, ratio = bundle.system, bundle.ratio
+    m, basis = sys.m, pair_basis(sys.m)
+    ia, ib = basis.first, basis.second
+    for x in sys.domain.sample(np.random.default_rng(20), 20):
+        D, B = transport_coefficients(sys, x)
+        D_ref, B_ref = _probed_coefficients(sys, x)
+        tol = 1e-14 * max(1.0, np.abs(D_ref).max(), np.abs(B_ref).max())
+        assert np.max(np.abs(D - D_ref)) <= tol
+        assert np.max(np.abs(B - B_ref)) <= tol
+        A = assemble_compatibility(sys, x).matrix
+        assert np.array_equal(A, (basis.weights[:, None] * B).reshape(A.shape))
+
+        g, dg = sys.metric.value(x), sys.metric.derivative(x)
+        r, dr = ratio.value(x), ratio.derivative(x)
+        s = g[:m] @ r.T
+        ds = (np.einsum("aik,bi->abk", dg[:m], r)
+              + np.einsum("ai,bik->abk", g[:m], dr))[ia, ib].T    # [k, p]
+        lin_o, lin_f = D @ s[ia, ib], B @ r[:, m:].ravel()
+        res = transport_residual(sys, ratio, x)[:, ia, ib]
+        scale = max(1.0, np.abs(ds).max(), np.abs(lin_o).max(),
+                    np.abs(lin_f).max())
+        assert np.max(np.abs(res - (ds - lin_o - lin_f))) <= 1e-12 * scale
 
 
 def test_constant_metric_operator_vanishes():

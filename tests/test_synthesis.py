@@ -29,6 +29,15 @@ S0 = State(np.array([0.1, -0.2, 0.15]), np.array([0.05, -0.1, 0.2]))
 S_NEAR = State(np.array([0.05, 0.02, -0.03]), np.array([0.01, -0.04, 0.02]))
 
 
+@pytest.mark.parametrize("T,dt", [
+    (np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan),
+    (1e308, 1e-300),   # T / dt overflows to inf
+], ids=["T-inf", "T-nan", "dt-inf", "dt-nan", "ratio-overflow"])
+def test_nonfinite_horizon_or_step_is_a_domain_error(T, dt):
+    with pytest.raises(DomainError):
+        simulate(SYS, S0, T=T, dt=dt)
+
+
 def test_law_turns_plant_acceleration_into_target_acceleration():
     rng = np.random.default_rng(7)
     for _ in range(10):
