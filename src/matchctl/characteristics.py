@@ -47,11 +47,13 @@ def flow_map(ratio: Field, x0, t: float, dt: float = 1e-3) -> np.ndarray:
 
     Classical fixed-step 4th-order integration; the final step is
     shortened so the endpoint lands exactly on t.  Raises DomainError
-    when |t|/dt would exceed the step budget and SingularFieldError if
-    the row vanishes en route.
+    for a non-finite t or dt, or when |t|/dt would exceed the step
+    budget, and SingularFieldError if the row vanishes en route.
     """
-    if dt <= 0.0:
-        raise DomainError("flow step dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise DomainError("flow step dt must be positive and finite")
+    if not np.isfinite(t):
+        raise DomainError("flow horizon t must be finite")
     if abs(t) / dt > STEP_LIMIT:
         raise DomainError("flow horizon %.3g needs more than %d steps at dt=%.3g"
                           % (t, STEP_LIMIT, dt))
@@ -294,13 +296,13 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
     if sys.m != 1:
         raise ScopeError("transport needs exactly one unactuated coordinate; "
                          "no recipe is available for m = %d" % sys.m)
-    if dt <= 0.0:
-        raise DomainError("transport step dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise DomainError("transport step dt must be positive and finite")
     anchor = np.asarray(anchor, dtype=float)
     if anchor.shape != (sys.n,):
         raise DomainError("anchor must be a configuration of length %d" % sys.n)
     times = np.asarray(times, dtype=float).ravel()
-    if times.size < 2 or np.any(np.diff(times) <= 0.0):
+    if times.size < 2 or not np.all(np.diff(times) > 0.0):
         raise DomainError("flow times must be strictly increasing, length >= 2")
     if (times[-1] - times[0]) / dt > STEP_LIMIT:
         raise DomainError("flow-time span needs more than %d steps at dt=%.3g"

@@ -234,7 +234,9 @@ def cmd_sweep(cfg: RunConfig, config_path: str) -> int:
         sub_out = None
         if cfg.output_dir:
             sub_out = os.path.join(cfg.output_dir, "sweep-%02d" % i)
-        sub = with_overrides(sub, seed=cfg.run.seed, out=sub_out)
+        # a swept run.seed wins over the document's seed and --seed
+        seed = None if cfg.sweep.key == "run.seed" else cfg.run.seed
+        sub = with_overrides(sub, seed=seed, out=sub_out)
         code = _DISPATCH[cfg.sweep.command](sub)
         summary.append("  %s = %r -> exit %d" % (cfg.sweep.key, value, code))
         worst = max(worst, code)

@@ -163,15 +163,25 @@ class CompatibilitySystem:
     m: int
 
 
+def svd_rank(mat: np.ndarray):
+    """Full SVD of mat and its numerical rank: (u, sv, vt, rank, tol).
+
+    The rank counts the singular values above tol, KERNEL_TOL_FACTOR
+    times the larger of the top singular value and 1.  Every rank and
+    kernel decision in the package (A here, both jet-rigidity stages) is
+    made by this one rule.
+    """
+    u, sv, vt = np.linalg.svd(mat)
+    tol = KERNEL_TOL_FACTOR * max(sv[0], 1.0)
+    return u, sv, vt, int(np.sum(sv > tol)), tol
+
+
 def assemble_compatibility(sys: MechanicalSystem, x) -> CompatibilitySystem:
-    """Assemble A at x and compute its rank and both kernels by SVD."""
+    """Assemble A at x; its rank and both kernels come from svd_rank."""
     _, B = lambda_coefficients(sys.metric_at(x), christoffel_first(sys, x),
                                sys.m)
     A = (pair_basis(sys.m).weights[:, None] * B).reshape(-1, B.shape[-1])
-    u, sv, vt = np.linalg.svd(A)
-    smax = sv[0] if sv.size else 0.0
-    tol = KERNEL_TOL_FACTOR * max(smax, 1.0)
-    rank = int(np.sum(sv > tol))
+    u, _, vt, rank, tol = svd_rank(A)
     return CompatibilitySystem(matrix=A, rank=rank, tol=tol,
                                kernel_basis=u[:, rank:], null_basis=vt[rank:].T,
                                n=sys.n, m=sys.m)

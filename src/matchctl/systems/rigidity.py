@@ -16,7 +16,11 @@ unknowns stay inside the jet).  If stage A annihilates the free ratio
 sector, the transport system closes over the overlap entries alone and
 stage B intersects the kernels of its curvature, prolonging once if the
 first pass is not decisive.  The reported dimension is the stage-B
-nullity in the closed case and the stage-A nullity otherwise.
+nullity in the closed case and the stage-A nullity otherwise; every rank
+is decided by matching.svd_rank.  Both stages read one stencil of
+transport_coefficients evaluations: x, x + 0.05 e_i (zero directions)
+and x +- h e_k (rates), 3n + 1 in all; a prolongation differentiates the
+curvature once more, 2n(2n + 1) more (10 and 52 in all for n = 3).
 """
 from __future__ import annotations
 
@@ -24,11 +28,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..fields import fd_derivative
 from ..geometry import MechanicalSystem, christoffel_first
-from ..matching import lambda_coefficients, pair_basis
+from ..matching import lambda_coefficients, pair_basis, svd_rank
 
 COEFF_TOL = 1e-9
-KERNEL_TOL = 1e-10
 SECTOR_TOL = 1e-8
 GAP_WARN = 1e-6
 FD_STEP = 1e-5
@@ -48,23 +52,6 @@ def transport_coefficients(sys: MechanicalSystem, x):
                                sys.m)
 
 
-def _coeff_rates(sys, x, direction, step=FD_STEP):
-    e = np.zeros(len(x))
-    e[direction] = step
-    Dp, Bp = transport_coefficients(sys, x + e)
-    Dm, Bm = transport_coefficients(sys, x - e)
-    return (Dp - Dm) / (2 * step), (Bp - Bm) / (2 * step)
-
-
-def _nullspace(mat, tol_factor=KERNEL_TOL):
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1]), np.array([]), 0
-    u, sv, vt = np.linalg.svd(mat)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > tol_factor * max(smax, 1.0)))
-    return vt[rank:].T, sv, rank
-
-
 @dataclass(frozen=True)
 class JetReport:
     dimension: int
@@ -82,68 +69,52 @@ class JetReport:
                 f"stage B {self.stage_b_nullity}){tail}")
 
 
-def _zero_directions(sys, x, rng_offsets):
-    """Directions along which every transport coefficient vanishes, judged
-    at x and at fixed nearby offsets so point-specific zeros don't count."""
-    norms = np.zeros(sys.n)
-    for dx in rng_offsets:
-        D, B = transport_coefficients(sys, x + dx)
-        norms = np.max([norms, np.abs(D).max(axis=(1, 2)),
-                        np.abs(B).max(axis=(1, 2))], axis=0)
-    return [k for k in range(sys.n) if norms[k] < COEFF_TOL], norms
-
-
 def jet_dimension(sys: MechanicalSystem, x) -> JetReport:
     """Dimension of the pointwise solution set of the 1-jet relations at x."""
     x = np.asarray(x, dtype=float)
     n = sys.n
     warnings = []
 
-    offsets = [np.zeros(n)] + [0.05 * np.eye(n)[i] for i in range(n)]
-    zdirs, _ = _zero_directions(sys, x, offsets)
-    nz = len(zdirs)
-    D, B = transport_coefficients(sys, x)
-    _, p2, f = B.shape
+    def packed(y):      # [D | B] along the last axis
+        return np.concatenate(transport_coefficients(sys, y), axis=-1)
 
-    # layout: overlap (p2) | d overlap (p2*n) | free (f) | d free (f*nz)
+    here = packed(x)
+    grad = fd_derivative(packed, x, FD_STEP)    # grad[..., k] = d_k here
+    p2 = here.shape[1]
+    f = here.shape[2] - p2
+    # zero directions: every coefficient along them vanishes at x and at
+    # fixed nearby offsets, so point-specific zeros don't count
+    probe = [here] + [packed(y) for y in x + 0.05 * np.eye(n)]
+    zdirs = np.flatnonzero(np.max(np.abs(probe), axis=(0, 2, 3)) < COEFF_TOL)
+    nz = zdirs.size
+
+    # layout: overlap (p2) | d overlap (p2*n) | free (f) | d free (f*nz);
+    # transport row (k, p) reads d_k s_p - D[k, p] . s - B[k, p] . free
     fr0 = p2 + p2 * n
     cols = fr0 + f + f * nz
-    do_at = lambda p, k: p2 + p * n + k
-    dfr_at = lambda j, zi: fr0 + f + j * nz + zi
-
-    rows = []
-    for k in range(n):
-        for p in range(p2):
-            row = np.zeros(cols)
-            row[do_at(p, k)] = 1.0
-            row[:p2] -= D[k, p]
-            row[fr0:fr0 + f] -= B[k, p]
-            rows.append(row)
+    value_cols = np.r_[:p2, fr0:fr0 + f]
+    transport = np.zeros((n * p2, cols))
+    transport[:, value_cols] -= here.reshape(n * p2, p2 + f)
+    k, p = np.divmod(np.arange(n * p2), p2)
+    transport[np.arange(n * p2), p2 + p * n + k] = 1.0
+    # along a zero direction ell, d_ell of each live coefficient row gives
+    # a mixed-partial relation whose unknowns stay inside the jet
+    live_k, live_p = np.nonzero(np.abs(here).max(axis=-1) >= COEFF_TOL)
+    blocks = [transport]
     for zi, ell in enumerate(zdirs):
-        dD, dB = _coeff_rates(sys, x, ell)
-        for k in range(n):
-            if k in zdirs:
-                continue
-            for p in range(p2):
-                if max(np.abs(D[k, p]).max(), np.abs(B[k, p]).max()) < COEFF_TOL:
-                    continue
-                row = np.zeros(cols)
-                row[:p2] += dD[k, p]
-                for q in range(p2):
-                    row[do_at(q, ell)] += D[k, p, q]
-                row[fr0:fr0 + f] += dB[k, p]
-                for j in range(f):
-                    row[dfr_at(j, zi)] += B[k, p, j]
-                rows.append(row)
+        mixed = np.zeros((live_k.size, cols))
+        mixed[:, value_cols] += grad[live_k, live_p, :, ell]
+        jet_cols = np.r_[p2 + np.arange(p2) * n + ell,
+                         fr0 + f + np.arange(f) * nz + zi]
+        mixed[:, jet_cols] += here[live_k, live_p]
+        blocks.append(mixed)
 
-    kernel, sv, rank = _nullspace(np.array(rows))
-    nullity_a = kernel.shape[1]
-    kept = sv[:rank]
-    if kept.size and kept[-1] < GAP_WARN * max(kept[0], 1.0):
+    _, sv, vt, rank, _ = svd_rank(np.vstack(blocks))
+    nullity_a = vt.shape[0] - rank
+    if rank and sv[rank - 1] < GAP_WARN * max(sv[0], 1.0):
         warnings.append(f"stage A rank is marginal (min/max singular value "
-                        f"{kept[-1] / kept[0]:.1e})")
-
-    free_block = kernel[fr0:, :]
+                        f"{sv[rank - 1] / sv[0]:.1e})")
+    free_block = vt[rank:, fr0:]
     killed = bool(free_block.size == 0 or np.abs(free_block).max() < SECTOR_TOL)
     if not killed:
         return JetReport(dimension=nullity_a, stage_a_nullity=nullity_a,
@@ -151,44 +122,29 @@ def jet_dimension(sys: MechanicalSystem, x) -> JetReport:
                          prolonged=False, warnings=tuple(warnings))
 
     # stage B: closed system d_k overlap = D[k] overlap; intersect the
-    # kernels of its curvature
-    def curvature_rows(prolong):
-        blocks = []
-        rates = [_coeff_rates(sys, x, k)[0] for k in range(n)]
-        curv = {}
-        for k in range(n):
-            for ell in range(k + 1, n):
-                c = (rates[k][ell] - rates[ell][k]
-                     + D[ell] @ D[k] - D[k] @ D[ell])
-                curv[k, ell] = c
-                blocks.append(c)
-        if prolong:
-            e = np.zeros(n)
-            for (k, ell), c in curv.items():
-                for mdir in range(n):
-                    e[:] = 0.0
-                    e[mdir] = FD_STEP
-                    dc = ((_curvature_at(sys, x + e, k, ell)
-                           - _curvature_at(sys, x - e, k, ell))
-                          / (2 * FD_STEP))
-                    blocks.append(dc + c @ D[mdir])
-        return np.vstack(blocks)
+    # kernels of its curvature, then of its first prolongation
+    # d_m C + C D[m] (pair-major, direction-minor) if that is not decisive
+    first, second = np.triu_indices(n, 1)
 
-    def _curvature_at(s, xx, k, ell):
-        Dk, _ = _coeff_rates(s, xx, k)
-        Dl, _ = _coeff_rates(s, xx, ell)
-        Dx, _ = transport_coefficients(s, xx)
-        return Dk[ell] - Dl[k] + Dx[ell] @ Dx[k] - Dx[k] @ Dx[ell]
+    def curvature(coeffs, grad):  # d_k D_l - d_l D_k + [D_l, D_k], k < l
+        D = coeffs[..., :p2]
+        return (grad[second, :, :p2, first] - grad[first, :, :p2, second]
+                + D[second] @ D[first] - D[first] @ D[second])
 
-    kb, svb, rb = _nullspace(curvature_rows(prolong=False))
-    nullity_b = kb.shape[1]
-    prolonged = False
-    if nullity_b > 1:
-        kb, svb, rb = _nullspace(curvature_rows(prolong=True))
-        nullity_b = kb.shape[1]
-        prolonged = True
-    keptb = svb[:rb]
-    if keptb.size and keptb[-1] < GAP_WARN * max(keptb[0], 1.0):
+    curv = curvature(here, grad)
+    rows_b = curv.reshape(-1, p2)
+    _, svb, vtb, rb, _ = svd_rank(rows_b)
+    prolonged = vtb.shape[0] - rb > 1
+    if prolonged:
+        d_curv = fd_derivative(
+            lambda y: curvature(packed(y), fd_derivative(packed, y, FD_STEP)),
+            x, FD_STEP)
+        prolong = (np.moveaxis(d_curv, -1, 1)
+                   + curv[:, None] @ here[None, ..., :p2])
+        _, svb, vtb, rb, _ = svd_rank(np.vstack([rows_b,
+                                                 prolong.reshape(-1, p2)]))
+    nullity_b = vtb.shape[0] - rb
+    if rb and svb[rb - 1] < GAP_WARN * max(svb[0], 1.0):
         warnings.append("stage B rank is marginal")
     return JetReport(dimension=nullity_b, stage_a_nullity=nullity_a,
                      free_sector_killed=True, stage_b_nullity=nullity_b,
@@ -218,7 +174,8 @@ def rigidity_probe(sys: MechanicalSystem, points) -> list[JetReport]:
 
     Points within the warning band of an angle-coincidence locus
     sin(x_i - x_j) = 0 get flagged; coefficients degenerate there and
-    the dimension is not trustworthy.
+    the dimension is not trustworthy.  No stage warning marks the chain's
+    locus (jet_dimension reads 5 on it), so this band is the guard there.
     """
     reports = []
     for x in points:

@@ -50,6 +50,19 @@ def test_flow_map_step_validation():
         flow_map(RATIO, x0, 1e9, dt=1e-6)  # would need too many steps
 
 
+@pytest.mark.parametrize("call", [
+    lambda: flow_map(RATIO, np.zeros(3), np.nan),
+    lambda: flow_map(RATIO, np.zeros(3), 1.0, dt=np.nan),
+    lambda: flow_map(RATIO, np.zeros(3), 1.0, dt=np.inf),
+    lambda: _fixture_grid(np.linspace(-0.5, 0.5, 5), dt=np.nan),
+    lambda: _fixture_grid(np.linspace(-0.5, 0.5, 5), dt=np.inf),
+    lambda: _fixture_grid(np.array([-0.5, 0.0, np.nan])),
+], ids=["flow-t-nan", "flow-dt-nan", "flow-dt-inf", "transport-dt-nan",
+        "transport-dt-inf", "transport-times-nan"])
+def test_nonfinite_horizon_or_step_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
 
 def test_flow_map_takes_no_roundoff_step():
     calls = []

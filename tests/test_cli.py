@@ -229,6 +229,38 @@ def test_sweep_runs_subcommands_into_numbered_dirs(tmp_path, capsys):
     assert "sweep block" in capsys.readouterr().err
 
 
+def test_sweep_over_the_seed_runs_each_swept_seed(tmp_path):
+    base = dict(PENDULUM, run=dict(PENDULUM["run"], seed=5, samples=10))
+
+    def standalone(seed, samples=10):
+        out = tmp_path / ("alone-%d-%d" % (seed, samples))
+        doc = dict(base, run=dict(base["run"], samples=samples))
+        assert main(["verify", "--config", _cfg(tmp_path, doc, "alone.yaml"),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        return (out / "verify-report.txt").read_text()
+
+    # a swept run.seed wins over the document's seed and over --seed
+    seeds = dict(base, sweep={"key": "run.seed", "values": [1, 2, 3],
+                              "command": "verify"})
+    out_dir = tmp_path / "seeds"
+    assert main(["sweep", "--config", _cfg(tmp_path, seeds, "seeds.yaml"),
+                 "--seed", "7", "--out", str(out_dir)]) == 0
+    reports = [(out_dir / ("sweep-%02d" % i) / "verify-report.txt").read_text()
+               for i in range(3)]
+    assert reports == [standalone(k) for k in (1, 2, 3)]
+    assert len(set(reports)) == 3
+
+    # any other sweep still takes --seed
+    sizes = dict(base, sweep={"key": "run.samples", "values": [4, 6],
+                              "command": "verify"})
+    out_dir = tmp_path / "sizes"
+    assert main(["sweep", "--config", _cfg(tmp_path, sizes, "sizes.yaml"),
+                 "--seed", "7", "--out", str(out_dir)]) == 0
+    for i, samples in enumerate((4, 6)):
+        sub = out_dir / ("sweep-%02d" % i) / "verify-report.txt"
+        assert sub.read_text() == standalone(7, samples)
+
+
 def test_argparse_contract():
     with pytest.raises(SystemExit) as exc:
         main([])
