@@ -198,11 +198,13 @@ def _build_rollercoaster(params, path):
     if prof is None:
         nu = lambda y: 1.0
         rate = lambda y: 0.0
+        curvature = lambda y: 0.0
     else:
         nu = lambda y: prof(np.array([y]))
         rate = lambda y: prof.gradient(np.array([y]))[0]
+        curvature = lambda y: prof.hessian(np.array([y]))[0, 0]
     if curve.case_tag == PLANAR:
-        ratio = planar_ratio_family(curve, b, nu, rate)
+        ratio = planar_ratio_family(curve, b, nu, rate, curvature)
     else:
         ratio = incline_ratio_family(curve, b, nu, rate)
     eq = sys_.domain.center if sys_.domain is not None else np.zeros(2)

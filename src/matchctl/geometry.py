@@ -24,10 +24,22 @@ from .targets import TargetSystem
 
 @dataclass(frozen=True)
 class State:
-    """Point of the tangent bundle: position x and velocity xdot."""
+    """Point of the tangent bundle: position x and velocity xdot.
+
+    A state also memoizes what has been evaluated at it, one entry per
+    model (a plant or a target, matched by identity, so the two never
+    share one): the checked kinetic matrix (kinetic_matrix) and the
+    summed force (force), each computed on first use and handed out
+    read-only.  A closed-loop stage builds one state, so the law and the
+    acceleration share one evaluation of each side.  The memo takes no
+    part in comparison, hashing or repr, and dataclasses.replace starts
+    a new state with an empty one.
+    """
 
     x: np.ndarray
     xdot: np.ndarray
+    _memo: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -42,6 +54,15 @@ class State:
     @property
     def n(self) -> int:
         return self.x.size
+
+    def memo(self, model) -> dict:
+        """The evaluations of `model` memoized at this state."""
+        for owner, entry in self._memo:
+            if owner is model:
+                return entry
+        entry = {}
+        self._memo.append((model, entry))
+        return entry
 
 
 @dataclass(frozen=True)
@@ -126,20 +147,46 @@ def quadratic_velocity_force(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     return np.einsum("jkr,j,k->r", gamma, xdot, xdot)
 
 
+def kinetic_matrix(model: MechanicalSystem | TargetSystem,
+                   s: State) -> np.ndarray:
+    """The model's checked kinetic matrix model.metric_at(s.x).
+
+    Evaluated once per state and model (see State); read-only."""
+    entry = s.memo(model)
+    g = entry.get("metric")
+    if g is None:
+        g = model.metric_at(s.x).view()  # the field may own the array
+        g.setflags(write=False)
+        entry["metric"] = g
+    return g
+
+
 def force(model: MechanicalSystem | TargetSystem, s: State) -> np.ndarray:
     """Velocity-quadratic, dissipative and potential force at the state:
-    G[j,k,r] xd^j xd^k + C_r + dV/dx^r, for a plant or a shaped target."""
-    x, v = s.x, s.xdot
-    return (quadratic_velocity_force(christoffel_first(model, x), v)
-            + model.dissipation(x, v) + model.potential.gradient(x))
+    G[j,k,r] xd^j xd^k + C_r + dV/dx^r, for a plant or a shaped target.
+
+    Evaluated once per state and model (see State): one metric
+    derivative, one dissipation and one potential gradient; read-only."""
+    entry = s.memo(model)
+    f = entry.get("force")
+    if f is None:
+        x, v = s.x, s.xdot
+        f = (quadratic_velocity_force(christoffel_first(model, x), v)
+             + model.dissipation(x, v) + model.potential.gradient(x))
+        f.setflags(write=False)
+        entry["force"] = f
+    return f
 
 
 def acceleration(sys: MechanicalSystem, s: State, u: np.ndarray) -> np.ndarray:
-    """Solve the equations of motion for xdd at the given state and control."""
+    """Solve the equations of motion for xdd at the given state and control.
+
+    g and the force come from the state's memo, so after control_law at
+    the same state the plant is not evaluated again."""
     u = np.asarray(u, dtype=float)
     if u.shape != (sys.n,) or not np.isfinite(u).all():
         raise DomainError("control vector has wrong shape or non-finite entries")
-    g = sys.metric_at(s.x)
+    g = kinetic_matrix(sys, s)
     try:
         return np.linalg.solve(g, u - force(sys, s))
     except np.linalg.LinAlgError as exc:

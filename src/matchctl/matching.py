@@ -36,7 +36,8 @@ import numpy as np
 from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
                      ScopeError)
 from .fields import Field, ScalarField, fd_derivative, scale_dissipation
-from .geometry import MechanicalSystem, State, christoffel_first, force
+from .geometry import (MechanicalSystem, State, christoffel_first, force,
+                       kinetic_matrix)
 from .targets import TargetSystem
 
 KERNEL_TOL_FACTOR = 1e-10
@@ -81,10 +82,12 @@ def matching_residual(sys: MechanicalSystem, ratio: Field | None,
     Zero exactly when the shaped system reproduces the plant's unactuated
     dynamics with no control.  `ratio` defaults to the rows of g G^{-1};
     passing a candidate field checks that field's consistency instead.
+    Each side's force, and g, come from the state's memo; with a given
+    ratio neither metric value is evaluated.
     """
     m = sys.m
     if ratio is None:
-        rmat = (sys.metric_at(s.x) @ target.metric_inv(s.x))[:m, :]
+        rmat = (kinetic_matrix(sys, s) @ target.metric_inv(s.x))[:m, :]
     else:
         rmat = ratio.value(s.x)
     return force(sys, s)[:m] - rmat @ force(target, s)

@@ -13,7 +13,9 @@ per evaluation, applied to the target's summed forces; no inverse is
 formed on the simulation path.  The plant metric is solved against
 solely when the plant itself is integrated, so degenerate plants
 (singular mass matrix) still admit law construction, germ work, and
-target-side simulation.
+target-side simulation.  Each side's kinetic matrix and force are
+memoized on the State (geometry.State), so a closed-loop stage
+evaluates the plant once for the law and the acceleration together.
 """
 from __future__ import annotations
 
@@ -24,11 +26,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, MatchctlError,
-                     NotAnEquilibriumError, ScopeError)
+                     NotAnEquilibriumError, ScopeError, SingularTargetError)
 from .fields import FD_STEP, fd_derivative
 # christoffel_first is imported by name so perfbench/spans.py can patch it
 from .geometry import (MechanicalSystem, State, acceleration,  # noqa: F401
-                       christoffel_first, force)
+                       christoffel_first, force, kinetic_matrix)
 from .matching import matching_residual
 from .rk4 import rk4_step
 from .targets import TargetSystem
@@ -45,8 +47,18 @@ def shaped_energy(target: TargetSystem, s: State) -> float:
     return float(0.5 * s.xdot @ g @ s.xdot + target.potential(s.x))
 
 
+def _target_solve(target: TargetSystem, s: State, rhs) -> np.ndarray:
+    """G(x)^-1 rhs by one linear solve, without forming the inverse."""
+    g = kinetic_matrix(target, s)
+    try:
+        return np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularTargetError(
+            f"target kinetic matrix is singular at x={s.x}") from exc
+
+
 def target_acceleration(target: TargetSystem, s: State) -> np.ndarray:
-    return target.metric_solve(s.x, -force(target, s))
+    return _target_solve(target, s, -force(target, s))
 
 
 def control_law(sys: MechanicalSystem, target: TargetSystem,
@@ -59,9 +71,14 @@ def control_law(sys: MechanicalSystem, target: TargetSystem,
     the shaped matrix G.  For a matched pair the unactuated components
     vanish identically; they are returned as computed so callers can
     monitor the defect.
+
+    g, G and both forces are read from the state's memo: each side's
+    metric value, metric derivative and potential gradient are evaluated
+    once per state, and acceleration at the same state reuses the
+    plant's.
     """
-    g = sys.metric_at(s.x)
-    return force(sys, s) - g @ target.metric_solve(s.x, force(target, s))
+    g = kinetic_matrix(sys, s)
+    return force(sys, s) - g @ _target_solve(target, s, force(target, s))
 
 
 def matched_controller(sys: MechanicalSystem,
@@ -120,8 +137,12 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
     node is evaluated once, as the first stage of the step leaving it, so
     the recorded controls are those first-stage values: controls[i] is
     controller(traj.state_at(i)), and k steps call the controller 4k + 1
-    times.  A TargetSystem integrates its own dynamics; its recorded
-    controls are zero and passing a controller with one is an error.
+    times.  Controller and acceleration see one State per stage and share
+    its memo, so under matched_controller k steps make 4k + 1 plant
+    metric values, metric derivatives and potential gradients, and as
+    many of each on the target.  A TargetSystem integrates its own
+    dynamics; its recorded controls are zero and passing a controller
+    with one is an error.
 
     Raises BlowUpError when any state component leaves [-blowup, blowup]
     or a stage inside a step reaches non-finite entries; the exception

@@ -131,6 +131,14 @@ def helix_track(radius: float, climb: float) -> TrackCurve:
         name=f"helix-{r:g}-{h:g}")
 
 
+def _rate(f, s, exact):
+    """exact(s) when given, else the central difference of f at s."""
+    if exact is not None:
+        return float(exact(s))
+    h = 1e-6
+    return (f(s + h) - f(s - h)) / (2.0 * h)
+
+
 def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
                   domain: Box | None = None,
                   invariant_samples=None) -> MechanicalSystem:
@@ -144,12 +152,6 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
         invariant_samples = np.linspace(domain.lo[1], domain.hi[1], 9)
     validate_curve(curve, invariant_samples)
 
-    def rate(f, s, exact):
-        if exact is not None:
-            return float(exact(s))
-        h = 1e-6
-        return (f(s + h) - f(s - h)) / (2.0 * h)
-
     def gval(x):
         phi, s = x
         al = curve.alpha(s)
@@ -162,8 +164,8 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
         phi, s = x
         al = curve.alpha(s)
         ca = np.cos(al - phi)
-        ar = rate(curve.alpha, s, curve.alpha_rate)
-        qr = rate(curve.profile, s, curve.profile_rate)
+        ar = _rate(curve.alpha, s, curve.alpha_rate)
+        qr = _rate(curve.profile, s, curve.profile_rate)
         d = np.zeros((2, 2, 2))
         d[0, 1, 0] = -b * ca
         d[0, 1, 1] = b * ca * ar
@@ -189,24 +191,49 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
 
 
 def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
-                        overlap_rate: Callable) -> Field:
-    """Ratio rows for planar tracks from overlap data nu(swing angle)."""
+                        overlap_rate: Callable,
+                        overlap_curvature: Callable | None = None) -> Field:
+    """Ratio rows for planar tracks from overlap data nu(swing angle).
+
+    With th = alpha(s) - swing the rows are
+    r = [nu + tan(th) nu'/2, -nu'/(2 b cos th)].  overlap_curvature, when
+    given, is nu'' and makes the derivative exact; otherwise central
+    differences fill in, which lose accuracy near the locus cos th = 0.
+    """
     if curve.case_tag != PLANAR:
         raise DomainError("planar family needs a planar curve")
     b = float(b)
 
-    def rval(x):
+    def angle(x):
         phi, s = x
-        al = curve.alpha(s)
-        ca = np.cos(al - phi)
+        th = curve.alpha(s) - phi
+        ca = np.cos(th)
         if abs(ca) < LOCUS_GUARD:
             raise SingularLocusError(
                 f"planar family singular at x={x} (cos(alpha - swing) ~ 0)")
-        nv, nr = float(overlap(phi)), float(overlap_rate(phi))
-        return np.array([[nv + 0.5 * np.tan(al - phi) * nr,
+        return th, ca
+
+    def rval(x):
+        th, ca = angle(x)
+        nv, nr = float(overlap(x[0])), float(overlap_rate(x[0]))
+        return np.array([[nv + 0.5 * np.tan(th) * nr,
                           -nr / (2.0 * b * ca)]])
 
-    return Field(rval)
+    if overlap_curvature is None:
+        return Field(rval)
+
+    def rder(x):
+        th, ca = angle(x)
+        phi, s = x
+        nr, nc = float(overlap_rate(phi)), float(overlap_curvature(phi))
+        ar = _rate(curve.alpha, s, curve.alpha_rate)
+        sec2 = 1.0 / (ca * ca)
+        tilt = nr * np.sin(th) * sec2 / (2.0 * b)   # nu' sin th / (2b cos^2 th)
+        return np.array([[[nr - 0.5 * sec2 * nr + 0.5 * np.tan(th) * nc,
+                           0.5 * ar * sec2 * nr],
+                          [-nc / (2.0 * b * ca) + tilt, -ar * tilt]]])
+
+    return Field(rval, rder)
 
 
 def curvature_integral(curve: TrackCurve, b: float, s: float,

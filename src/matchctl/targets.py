@@ -37,12 +37,3 @@ class TargetSystem:
         except np.linalg.LinAlgError as exc:
             raise SingularTargetError(
                 f"target kinetic matrix is singular at x={np.asarray(x)}") from exc
-
-    def metric_solve(self, x, rhs) -> np.ndarray:
-        """G(x)^-1 rhs by one linear solve, without forming the inverse."""
-        g = self.metric_at(x)
-        try:
-            return np.linalg.solve(g, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularTargetError(
-                f"target kinetic matrix is singular at x={np.asarray(x)}") from exc

@@ -10,8 +10,9 @@ import os
 import numpy as np
 import pytest
 
-from matchctl import matching
+from matchctl import matching, synthesis
 from matchctl.config import load_config
+from matchctl.geometry import State
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(f for f in os.listdir(os.path.join(ROOT, "configs"))
@@ -55,3 +56,33 @@ def test_traced_bundle_runs_a_transport_residual(name):
     assert {"matching.transport_residual", "geometry.christoffel_first",
             "fields.plant.metric.value", "fields.plant.metric.derivative",
             "fields.ratio.value", "fields.ratio.derivative"} <= called
+
+
+def test_traced_closed_loop_matches_the_plain_run():
+    # built as the sim-ensemble workload builds its traced inputs
+    cfg = load_config(os.path.join(ROOT, "configs", "pendulum.yaml"))
+    plant = cfg.fixture.system
+    _, target = cfg.resolved_target()
+    rec = SPANS.Recorder("hooks")
+    t_plant, t_target = rec.system(plant), rec.target(target)
+    law = rec.wrap("synthesis.controller",
+                   synthesis.matched_controller(t_plant, t_target))
+    s0 = State(cfg.fixture.equilibrium + 0.01, np.full(plant.n, 0.02))
+    k, dt = 25, cfg.run.dt
+    rec.install()
+    try:
+        traced = synthesis.simulate(t_plant, s0, k * dt, dt, controller=law)
+    finally:
+        rec.uninstall()
+    plain = synthesis.simulate(plant, s0, k * dt, dt,
+                               controller=synthesis.matched_controller(
+                                   plant, target))
+    assert np.array_equal(traced.states, plain.states)
+    assert np.array_equal(traced.controls, plain.controls)
+    calls = np.bincount(np.frombuffer(rec.name_id, dtype=np.int32),
+                        minlength=len(rec.names))
+    count = dict(zip(rec.names, calls))
+    for name in ("fields.plant.metric.value", "fields.plant.metric.derivative",
+                 "fields.plant.potential.gradient",
+                 "fields.target.metric.value", "synthesis.controller"):
+        assert count[name] == 4 * k + 1, name

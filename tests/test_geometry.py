@@ -1,4 +1,6 @@
 """State, box, and equation-of-motion plumbing."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from matchctl import Box, MechanicalSystem, State
 from matchctl.errors import DomainError, SingularMetricError
 from matchctl.fields import DissipationField, Field, ScalarField
 from matchctl.geometry import (acceleration, christoffel_first,
-                               christoffel_from_derivative, energy,
-                               quadratic_velocity_force, rescale_coordinates)
+                               christoffel_from_derivative, energy, force,
+                               kinetic_matrix, quadratic_velocity_force,
+                               rescale_coordinates)
 from matchctl.matching import assemble_compatibility
-from matchctl.systems import pendulum_cart
+from matchctl.systems import PendulumParams, pendulum_cart, pendulum_fixture
 
 rng = np.random.default_rng(4)
 
@@ -129,3 +132,67 @@ def test_rescaled_energy_is_invariant():
     s = State([0.2, 0.1, -0.3], [0.5, -0.2, 0.1])
     st = State(s.x * d, s.xdot * d)
     assert np.isclose(energy(sys, s), energy(scaled, st), rtol=1e-14)
+
+
+PLANT, _, TARGET = pendulum_fixture(PendulumParams().resolved())
+X0, V0 = np.array([0.1, -0.2, 0.15]), np.array([0.05, -0.1, 0.2])
+
+
+def _fill(s):
+    for model in (PLANT, TARGET):
+        kinetic_matrix(model, s)
+        force(model, s)
+    return s
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    plain = State(X0, V0)
+    filled = _fill(State(X0, V0))
+    assert plain == filled and filled == plain
+    assert repr(plain) == repr(filled)
+    keyed = [f.name for f in dataclasses.fields(State)
+             if (f.compare if f.hash is None else f.hash)]
+    assert keyed == ["x", "xdot"]
+    errors = []
+    for s in (plain, filled):   # ndarray fields: neither state is hashable
+        with pytest.raises(TypeError) as err:
+            hash(s)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_memo_keeps_plant_and_target_apart():
+    s = _fill(State(X0, V0))
+    for model in (PLANT, TARGET):
+        fresh = State(X0, V0)
+        assert np.array_equal(kinetic_matrix(model, s),
+                              kinetic_matrix(model, fresh))
+        assert np.array_equal(force(model, s), force(model, fresh))
+        assert kinetic_matrix(model, s) is kinetic_matrix(model, s)
+        assert force(model, s) is force(model, s)
+    assert not np.array_equal(force(PLANT, s), force(TARGET, s))
+    assert not np.array_equal(kinetic_matrix(PLANT, s),
+                              kinetic_matrix(TARGET, s))
+
+
+def test_memoized_arrays_are_read_only():
+    # a constant field hands out its own array; the memo must not lock it
+    flat = MechanicalSystem(n=2, m=1, metric=Field.constant(np.eye(2)),
+                            potential=ScalarField.constant(0.0),
+                            dissipation=DissipationField.zero(2))
+    for model in (flat, PLANT):
+        s = State(np.zeros(model.n), np.ones(model.n))
+        with pytest.raises(ValueError):
+            force(model, s)[0] = 1.0
+        with pytest.raises(ValueError):
+            kinetic_matrix(model, s)[0, 0] = 1.0
+    assert flat.metric.value(np.zeros(2)).flags.writeable
+
+
+def test_replace_starts_with_an_empty_memo():
+    s = _fill(State(X0, V0))
+    assert set(s.memo(PLANT)) == {"metric", "force"}
+    moved = dataclasses.replace(s, xdot=2.0 * V0)
+    assert moved.memo(PLANT) == {} and moved.memo(TARGET) == {}
+    assert not np.array_equal(force(PLANT, moved), force(PLANT, s))
+    assert dataclasses.replace(s).memo(TARGET) == {}

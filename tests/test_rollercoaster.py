@@ -1,8 +1,12 @@
 """Bead-on-track fixture: two track classes, charts, quadrature, guards."""
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 from matchctl import assemble_compatibility, transport_residual
+from matchctl.config import load_config
 from matchctl.errors import DomainError, SingularLocusError
 from matchctl.fields import Field, fd_derivative
 from matchctl.matching import solvability_residual
@@ -92,6 +96,34 @@ def test_planar_family_members():
     bad_phi = CIRCLE.alpha(s0) - 0.5 * np.pi
     with pytest.raises(SingularLocusError):
         fam.value(np.array([bad_phi, s0]))
+
+
+def test_planar_family_exact_derivative():
+    nu = lambda phi: 0.7 * np.sin(phi) + 1.1
+    nur = lambda phi: 0.7 * np.cos(phi)
+    nuc = lambda phi: -0.7 * np.sin(phi)
+    pts = list(np.random.default_rng(17).uniform(SYS1.domain.lo + 0.05,
+                                                 SYS1.domain.hi - 0.05,
+                                                 (20, 2)))
+    differenced = planar_ratio_family(CIRCLE, B, nu, nur)
+    # with and without the curve's exact alpha rate
+    for curve in (CIRCLE, dataclasses.replace(CIRCLE, alpha_rate=None)):
+        exact = planar_ratio_family(curve, B, nu, nur, nuc)
+        for x in pts:
+            assert np.array_equal(exact.value(x), differenced.value(x))
+            assert np.max(np.abs(exact.derivative(x)
+                                 - fd_derivative(exact.value, x))) <= 5e-8
+
+
+def test_shipped_planar_ratio_passes_near_the_locus_corner():
+    # the sample box corner (0.2, -0.2) lies on cos(alpha - swing) = 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = load_config(os.path.join(root, "configs", "rollercoaster.yaml"))
+    bundle = cfg.fixture
+    for x in ([0.20000058, -0.19964984], [0.2000001, -0.1999],
+              [0.201, -0.199]):
+        res = transport_residual(bundle.system, bundle.ratio, np.array(x))
+        assert np.max(np.abs(res)) <= cfg.run.tolerance
 
 
 def test_planar_solvability_residuals():

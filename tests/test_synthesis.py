@@ -1,4 +1,7 @@
 """Law assembly, closed-loop integration, energy audit, linearization."""
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from matchctl.errors import (BlowUpError, DomainError, MatchctlError,
                              SingularTargetError)
 from matchctl.fields import fd_derivative
 from matchctl.geometry import acceleration, christoffel_from_derivative
-from matchctl.matching import actuated_scalar_field
+from matchctl.matching import actuated_scalar_field, matching_residual
 from matchctl.rk4 import rk4_step
 from matchctl.shapes import constant_profile
 from matchctl.synthesis import (analytic_rest_linearization, germ_check,
@@ -202,6 +205,60 @@ def test_target_run_evaluates_each_stage_once(monkeypatch):
     k = 20
     simulate(TARGET, S0, T=k * 1e-2, dt=1e-2)
     assert len(calls) <= 4 * k
+
+
+class _Counted:
+    """Field stand-in that counts value, derivative and gradient calls."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = Counter()
+
+    def _call(self, name, x):
+        self.calls[name] += 1
+        return getattr(self.field, name)(x)
+
+    def value(self, x):
+        return self._call("value", x)
+
+    def derivative(self, x):
+        return self._call("derivative", x)
+
+    def gradient(self, x):
+        return self._call("gradient", x)
+
+
+def _counted_pair():
+    plant = dataclasses.replace(SYS, metric=_Counted(SYS.metric),
+                                potential=_Counted(SYS.potential))
+    target = dataclasses.replace(TARGET, metric=_Counted(TARGET.metric),
+                                 potential=_Counted(TARGET.potential))
+    return plant, target
+
+
+def _counts(model):
+    return (model.metric.calls["value"], model.metric.calls["derivative"],
+            model.potential.calls["gradient"])
+
+
+def test_closed_loop_evaluates_each_side_once_per_stage():
+    plant, target = _counted_pair()
+    k = 20
+    traj = simulate(plant, S0, T=k * 1e-2, dt=1e-2,
+                    controller=matched_controller(plant, target))
+    assert _counts(plant) == (4 * k + 1,) * 3
+    assert _counts(target) == (4 * k + 1,) * 3
+    plain = simulate(SYS, S0, T=k * 1e-2, dt=1e-2,
+                     controller=matched_controller(SYS, TARGET))
+    assert np.array_equal(traj.states, plain.states)
+    assert np.array_equal(traj.controls, plain.controls)
+
+
+def test_matching_residual_with_a_ratio_evaluates_no_metric_value():
+    plant, target = _counted_pair()
+    res = matching_residual(plant, RATIO, target, S0)
+    assert _counts(plant) == (0, 1, 1) and _counts(target) == (0, 1, 1)
+    assert np.array_equal(res, matching_residual(SYS, RATIO, TARGET, S0))
 
 
 def test_rk4_step_reuses_a_given_first_slope():
