@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AsymmetryError, DomainError, ScopeError,
+from .errors import (AsymmetryError, DomainError, MatchctlError, ScopeError,
                      SingularFieldError, SingularLocusError,
                      TransversalityError)
 from .fields import Field
@@ -30,6 +30,31 @@ SYMMETRY_TOL = 1e-9
 RESIDUAL_WARN = 1e-5
 POTENTIAL_RESIDUAL_WARN = 1e-6
 PLANE_HIT_TOL = 1e-10
+STACK_CONTRACT = ("transport evaluates every field on a stack of points "
+                  "(k, n) and needs each point's output along a leading "
+                  "axis; extend a one-point kernel with fields.per_point")
+
+
+def _stacked(method, xs: np.ndarray, shape: tuple) -> np.ndarray:
+    """method(xs) on a stack of points xs (k, n), checked to be (k,) + shape.
+
+    A kernel that only takes one point fails on a stack in numpy's own
+    words or answers in the wrong shape; both become a DomainError that
+    names the stack contract.
+    """
+    try:
+        out = method(xs)
+    except MatchctlError:
+        raise
+    except (ValueError, IndexError, TypeError) as exc:
+        raise DomainError("a field failed on a stack of %d points (%s); %s"
+                          % (xs.shape[0], exc, STACK_CONTRACT)) from exc
+    if out.shape != xs.shape[:1] + shape:
+        raise DomainError("a field answered a stack of %d points with shape "
+                          "%s, not %s; %s" % (xs.shape[0], out.shape,
+                                              xs.shape[:1] + shape,
+                                              STACK_CONTRACT))
+    return out
 
 
 def _drive_row(ratio: Field, x: np.ndarray) -> np.ndarray:
@@ -39,6 +64,18 @@ def _drive_row(ratio: Field, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(norm) or norm < FIELD_FLOOR:
         raise SingularFieldError(
             "transport direction vanished along the flow (|row| = %.3e)" % norm)
+    return v
+
+
+def _drive_rows(ratio: Field, xs: np.ndarray) -> np.ndarray:
+    """_drive_row at every point of a stack (k, n), guarded the same way."""
+    v = _stacked(ratio.value, xs, (1, xs.shape[1]))[:, 0]
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    lo, hi = norms.min(), norms.max()
+    if not FIELD_FLOOR <= lo <= hi < np.inf:
+        raise SingularFieldError(
+            "transport direction vanished along the flow (|row| = %.3e)"
+            % (hi if lo >= FIELD_FLOOR else lo))
     return v
 
 
@@ -77,6 +114,8 @@ def complete_metric_rows(sys: MechanicalSystem, ratio: Field,
     if block.shape != (n - m, n - m):
         raise DomainError("actuated block must be %d x %d, got %s"
                           % (n - m, n - m, block.shape))
+    if not np.isfinite(block).all():
+        raise DomainError("actuated block has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(block))))
     if np.max(np.abs(block - block.T)) > SYMMETRY_TOL * scale:
         raise AsymmetryError("actuated block is not symmetric")
@@ -289,6 +328,13 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
     block from `initial_block(x)` is completed to a full matrix and
     `initial_potential(x)` sets the potential, then both are carried to
     every entry of `times` (which must contain 0, where the seeds sit).
+    A non-finite block or potential at any seed is a DomainError.
+
+    All seeds are carried together as one stacked state (k, n + n^2 + 1),
+    so each RK4 stage evaluates the ratio row, its Jacobian, d g / d x_0
+    and d V / d x_0 once for the whole lattice: the plant's metric and
+    potential fields and the ratio must answer a stack of points (k, n)
+    in kind (see fields.Field), and one that does not is a DomainError.
 
     Only the single-unactuated-coordinate case is defined: the
     transport direction must be one row.
@@ -318,12 +364,9 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
     plane_value = float(anchor[plane_axis])
     seeds, axes, vals = _seed_lattice(anchor, plane_axis, seed_values, sys.n)
 
-    min_angle = np.inf
-    for p in seeds:
-        row = _drive_row(ratio, p)
-        angle = float(np.arcsin(min(1.0, abs(row[plane_axis])
-                                    / np.linalg.norm(row))))
-        min_angle = min(min_angle, angle)
+    rows = _drive_rows(ratio, seeds)
+    min_angle = float(np.min(np.arcsin(np.minimum(
+        1.0, np.abs(rows[:, plane_axis]) / np.linalg.norm(rows, axis=1)))))
     if min_angle < TRANSVERSALITY_FLOOR:
         raise TransversalityError(
             "flow meets the seed plane at %.2e rad < %.0e rad"
@@ -334,27 +377,33 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
     metric = np.zeros((k, T, n, n))
     potential = np.zeros((k, T))
 
-    carry = _carry_rhs(sys, ratio)
     for i, p in enumerate(seeds):
-        gh0 = complete_metric_rows(sys, ratio, initial_block(p), p)
-        z0 = np.concatenate((p, gh0.ravel(), [float(initial_potential(p))]))
-        states[i, j0], metric[i, j0], potential[i, j0] = p, gh0, z0[-1]
-        for stored in (range(j0 + 1, T), range(j0 - 1, -1, -1)):
-            z, prev = z0, j0
-            for j in stored:
-                z = rk4_span(carry, z, times[j] - times[prev], dt)
-                states[i, j], potential[i, j] = z[:n], z[-1]
-                metric[i, j] = z[n:-1].reshape(n, n)
-                prev = j
+        metric[i, j0] = complete_metric_rows(sys, ratio, initial_block(p), p)
+        potential[i, j0] = float(initial_potential(p))
+        if not np.isfinite(potential[i, j0]):
+            raise DomainError("initial potential is not finite at seed %s"
+                              % (p,))
+    states[:, j0] = seeds
+
+    carry = _carry_rhs(sys, ratio)
+    z0 = np.concatenate((seeds, metric[:, j0].reshape(k, n * n),
+                         potential[:, j0, None]), axis=1)
+    for stored in (range(j0 + 1, T), range(j0 - 1, -1, -1)):
+        z, prev = z0, j0
+        for j in stored:
+            z = rk4_span(carry, z, times[j] - times[prev], dt)
+            states[:, j], potential[:, j] = z[:, :n], z[:, -1]
+            metric[:, j] = z[:, n:-1].reshape(k, n, n)
+            prev = j
 
     res_g, res_v = _transport_defect(sys, ratio, times, states,
                                      metric, potential)
     sym = float(np.max(np.abs(metric - metric.transpose(0, 1, 3, 2))))
     warnings = []
-    if res_g > RESIDUAL_WARN:
+    if not res_g <= RESIDUAL_WARN:
         warnings.append("metric transport defect %.3e exceeds %.0e; "
                         "refine the flow-time grid" % (res_g, RESIDUAL_WARN))
-    if res_v > POTENTIAL_RESIDUAL_WARN:
+    if not res_v <= POTENTIAL_RESIDUAL_WARN:
         warnings.append("potential transport defect %.3e exceeds %.0e"
                         % (res_v, POTENTIAL_RESIDUAL_WARN))
     crossing = _crossing_gap(states, vals)
@@ -370,46 +419,62 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
         warnings=tuple(warnings))
 
 
-def _carry_slope(sys, ratio, x, gh):
-    """Slopes of the carried payload along the flow at x.
+def _carry_slope(sys, ratio, xs, gh):
+    """Slopes of the carried payload along the flow at a stack of points.
 
-    d(gh)/dt = d0(g)(x) - J^T gh - gh J with J the Jacobian of the
-    transport row, and d(vh)/dt is the unactuated potential slope; both
-    follow from contracting the compatibility equations with the row.
+    d(gh)/dt = d0(g)(x) - P - P^T with P = J^T gh and J the Jacobian of
+    the transport row (gh is symmetric, so P^T = gh J), and d(vh)/dt is
+    the unactuated potential slope; both follow from contracting the
+    compatibility equations with the row.  xs is (k, n), gh (k, n, n).
     """
-    jac = ratio.derivative(x)[0]
-    dg0 = sys.metric.derivative(x)[:, :, 0]
-    return dg0 - jac.T @ gh - gh @ jac, sys.potential.gradient(x)[0]
+    n = xs.shape[1]
+    jac = _stacked(ratio.derivative, xs, (1, n, n))[:, 0]
+    dg0 = _stacked(sys.metric.derivative, xs, (n, n, n))[..., 0]
+    p = jac.transpose(0, 2, 1) @ gh
+    slope_v = _stacked(sys.potential.gradient, xs, (n,))[:, 0]
+    return dg0 - p - p.transpose(0, 2, 1), slope_v
 
 
 def _carry_rhs(sys, ratio):
-    """Right side of the coupled (position, metric, potential) system,
-    whose state packs x, the rows of gh and vh into one vector."""
+    """Right side of the coupled (position, metric, potential) system for
+    a stack of seeds: row i of the state packs x, the rows of gh and vh
+    of seed i."""
     n = sys.n
 
     def rhs(z):
-        x = z[:n]
-        lam = _drive_row(ratio, x)
-        slope_g, slope_v = _carry_slope(sys, ratio, x, z[n:-1].reshape(n, n))
-        return np.concatenate((lam, slope_g.ravel(), [slope_v]))
+        xs = z[:, :n]
+        lam = _drive_rows(ratio, xs)
+        slope_g, slope_v = _carry_slope(sys, ratio, xs,
+                                        z[:, n:-1].reshape(-1, n, n))
+        return np.concatenate((lam, slope_g.reshape(-1, n * n),
+                               slope_v[:, None]), axis=1)
 
     return rhs
 
 
-def _time_slope(series, times, j):
-    """FD time derivative of stored payload at interior node j.
+def _time_slopes(series, times, lo, hi):
+    """FD time derivatives of stored payload at the nodes lo..hi-1 of axis 0.
 
     Five-point stencil where four uniformly spaced neighbors exist (the
     three-point error is quadratic in the node spacing and can swamp a
     1e-5 audit on steep data), otherwise plain centered difference.
     """
-    if 2 <= j <= times.size - 3:
-        h = times[j + 1] - times[j]
-        gaps = np.diff(times[j - 2:j + 3])
-        if np.max(np.abs(gaps - h)) <= 1e-9 * max(abs(h), 1e-300):
-            return (-series[j + 2] + 8.0 * series[j + 1]
-                    - 8.0 * series[j - 1] + series[j - 2]) / (12.0 * h)
-    return (series[j + 1] - series[j - 1]) / (times[j + 1] - times[j - 1])
+    def at(offset):
+        return series[lo + offset:hi + offset]
+
+    span = (-1,) + (1,) * (series.ndim - 1)
+    t = times.reshape(span)
+    slope = (at(1) - at(-1)) / (t[lo + 1:hi + 1] - t[lo - 1:hi - 1])
+    if times.size >= 5:          # then lo = 2 and hi = T - 2
+        gaps = np.diff(times)
+        h = gaps[lo:hi]
+        spread = np.max([np.abs(gaps[lo + o:hi + o] - h)
+                         for o in (-2, -1, 0, 1)], axis=0)
+        uniform = spread <= 1e-9 * np.maximum(np.abs(h), 1e-300)
+        five = (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) \
+            / (12.0 * h.reshape(span))
+        slope = np.where(uniform.reshape(span), five, slope)
+    return slope
 
 
 def _transport_defect(sys, ratio, times, states, metric, potential):
@@ -419,18 +484,20 @@ def _transport_defect(sys, ratio, times, states, metric, potential):
     is the plain time derivative, so differencing the stored payload
     against the local source terms measures how well the carried data
     satisfies the equations themselves, independent of the integrator.
+    The slopes are evaluated over one seed's interior nodes at a time,
+    and a NaN anywhere makes the residual NaN.
     """
-    worst_g, worst_v = 0.0, 0.0
     lo, hi = (2, times.size - 2) if times.size >= 5 else (1, times.size - 1)
+    worst = np.zeros((states.shape[0], 2))
     for i in range(states.shape[0]):
-        for j in range(lo, hi):
-            slope_g, slope_v = _carry_slope(sys, ratio, states[i, j],
-                                            metric[i, j])
-            lhs_g = _time_slope(metric[i], times, j) - slope_g
-            lhs_v = _time_slope(potential[i], times, j) - slope_v
-            worst_g = max(worst_g, float(np.max(np.abs(lhs_g))))
-            worst_v = max(worst_v, abs(float(lhs_v)))
-    return worst_g, worst_v
+        slope_g, slope_v = _carry_slope(sys, ratio, states[i, lo:hi],
+                                        metric[i, lo:hi])
+        worst[i] = (
+            np.max(np.abs(_time_slopes(metric[i], times, lo, hi) - slope_g)),
+            np.max(np.abs(_time_slopes(potential[i], times, lo, hi)
+                          - slope_v)))
+    worst_g, worst_v = np.max(worst, axis=0)
+    return float(worst_g), float(worst_v)
 
 
 def _crossing_gap(states, seed_values):
@@ -480,23 +547,26 @@ def row_identity_check(sys: MechanicalSystem, ratio: Field,
 
     The identity holds everywhere once it holds on the seed plane, so
     growth beyond integration error flags payload inconsistent with
-    the plant and ratio.
+    the plant and ratio.  Each seed's nodes are evaluated as one stack
+    (the fields must answer stacks, as in transport_target_data).  A NaN
+    defect anywhere is the maximum, located at its first node, and fails
+    the verdict.
     """
+    m, n = sys.m, grid.n
     j0 = grid.time_index(0.0)
-    worst, seed_worst = -1.0, 0.0
-    w_seed, w_time = 0, 0.0
+    defect = np.empty((grid.seed_count, grid.times.size))
     for i in range(grid.seed_count):
-        for j in range(grid.times.size):
-            x = grid.states[i, j]
-            lam = ratio.value(x)
-            g = sys.metric.value(x)
-            defect = float(np.max(np.abs(g[:sys.m, :] - lam @ grid.metric[i, j])))
-            if j == j0:
-                seed_worst = max(seed_worst, defect)
-            if defect > worst:
-                worst, w_seed, w_time = defect, i, float(grid.times[j])
-    return RowIdentityReport(max_defect=worst, seed_defect=seed_worst,
-                             worst_seed=w_seed, worst_time=w_time,
+        xs = grid.states[i]
+        lam = _stacked(ratio.value, xs, (m, n))
+        g = _stacked(sys.metric.value, xs, (n, n))
+        defect[i] = np.max(np.abs(g[:, :m, :] - lam @ grid.metric[i]),
+                           axis=(1, 2))
+    i, j = np.unravel_index(np.argmax(defect), defect.shape)
+    worst = float(defect[i, j])
+    return RowIdentityReport(max_defect=worst,
+                             seed_defect=float(np.max(defect[:, j0])),
+                             worst_seed=int(i),
+                             worst_time=float(grid.times[j]),
                              tol=float(tol), passed=bool(worst <= tol))
 
 

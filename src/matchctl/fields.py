@@ -6,6 +6,12 @@ field's derivative comes from an explicit callable when one is given
 (the example systems hand-code these) and from central finite
 differences otherwise; the differences also serve as the cross-check
 oracle in the tests.
+
+A kernel is given either one point, shape (n,), or a stack of points,
+shape (k, n), and answers in kind: its output for one point, or those
+outputs stacked along a leading axis.  Kernels written with x.T[i] and
+trailing-axis indexing broadcast natively; a kernel that can only take
+one point at a time is extended to stacks with per_point.
 """
 from __future__ import annotations
 
@@ -19,22 +25,47 @@ FD_STEP = 1e-6
 
 
 def fd_derivative(fn: Callable, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central differences D[..., k] = d fn / d x_k; shape fn's output plus (n,)."""
+    """Central differences D[..., k] = d fn / d x_k; shape fn's output plus (n,).
+
+    x is one point or a stack of points; the differences run along its
+    last axis, so fn must answer a stack in kind.
+    """
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     cols = []
-    for k in range(x.size):
-        e = np.zeros(x.size)
+    for k in range(n):
+        e = np.zeros(n)
         e[k] = step
         cols.append((np.asarray(fn(x + e), dtype=float)
                      - np.asarray(fn(x - e), dtype=float)) / (2.0 * step))
     return np.stack(cols, axis=-1)
 
 
+def per_point(kernel: Callable) -> Callable:
+    """A one-point kernel extended to stacks, evaluated point by point.
+
+    One point (n,) goes straight to the kernel; a stack (..., n) is
+    answered with the kernel's outputs stacked along the same leading axes.
+    """
+
+    def stacked(x):
+        if x.ndim == 1:
+            return kernel(x)
+        out = np.array([kernel(p) for p in x.reshape(-1, x.shape[-1])],
+                       dtype=float)
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    return stacked
+
+
 class Field:
     """x -> array of shape (...out) with derivative D[..., k] = d value / d x_k.
 
     Matrix fields (kinetic matrices), ratio rows (m, n), overlap data
-    (m, m) and flow directions (k,) are all of this one kind.
+    (m, m) and flow directions (k,) are all of this one kind.  Given a
+    stack of points (k, n), value answers (k, ...out) and derivative
+    (k, ...out, n); the kernels must honour that (see per_point), and
+    callers that evaluate stacks check the shape they get back.
     """
 
     def __init__(self, value: Callable, derivative: Callable | None = None):
@@ -52,9 +83,17 @@ class Field:
 
     @classmethod
     def constant(cls, value):
+        """The same value everywhere: its own array at one point, a
+        read-only broadcast of it for a stack."""
         value = np.array(value, dtype=float)
-        return cls(lambda x: value,
-                   lambda x: np.zeros(value.shape + (np.asarray(x).size,)))
+
+        def val(x):
+            if x.ndim == 1:
+                return value
+            return np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+        return cls(val, lambda x: np.zeros(x.shape[:-1] + value.shape
+                                           + x.shape[-1:]))
 
 
 class ScalarField(Field):

@@ -33,7 +33,8 @@ class State:
     read-only.  A closed-loop stage builds one state, so the law and the
     acceleration share one evaluation of each side.  The memo takes no
     part in comparison, hashing or repr, and dataclasses.replace starts
-    a new state with an empty one.
+    a new state with an empty one.  Two states are equal when their
+    positions and velocities are; a state is not hashable.
     """
 
     x: np.ndarray
@@ -50,6 +51,14 @@ class State:
             raise DomainError("state dimension must be at least 2")
         if not (np.isfinite(self.x).all() and np.isfinite(self.xdot).all()):
             raise DomainError("state has non-finite entries")
+
+    def __eq__(self, other):
+        # by value; the dataclass default compares the array tuples, which
+        # raises for equal values held in distinct arrays
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.x, other.x)
+                and np.array_equal(self.xdot, other.xdot))
 
     @property
     def n(self) -> int:

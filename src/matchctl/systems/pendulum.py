@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
-from ..fields import DissipationField, Field, ScalarField
+from ..fields import DissipationField, Field, ScalarField, per_point
 from ..geometry import Box, MechanicalSystem
 from ..shapes import Profile, constant_profile, quadratic_profile
 from ..targets import TargetSystem
@@ -41,26 +41,39 @@ def pendulum_cart(a: float = 0.5, b: float = 0.5, domain: Box | None = None,
     if a <= 0:
         raise DomainError("coupling constant a must be positive")
 
+    # Each kernel takes one point or a stack: x.T[i] is coordinate i of
+    # every point and out.T[j, i] entry (i, j) of every output.
     def gval(x):
-        c, s = np.cos(x[0]), np.sin(x[0])
-        return np.array([[1.0, -a * c, -a * s],
-                         [-a * c, 1.0, 0.0],
-                         [-a * s, 0.0, 1.0]])
+        tilt = x.T[0]
+        c, s = np.cos(tilt), np.sin(tilt)
+        g = np.zeros(x.shape[:-1] + (3, 3))
+        gt = g.T
+        gt[0, 0] = gt[1, 1] = gt[2, 2] = 1.0
+        gt[0, 1] = gt[1, 0] = -a * c
+        gt[0, 2] = gt[2, 0] = -a * s
+        return g
 
     def gder(x):
-        c, s = np.cos(x[0]), np.sin(x[0])
-        d = np.zeros((3, 3, 3))
-        d[0, 1, 0] = d[1, 0, 0] = a * s
-        d[0, 2, 0] = d[2, 0, 0] = -a * c
+        tilt = x.T[0]
+        c, s = np.cos(tilt), np.sin(tilt)
+        d = np.zeros(x.shape[:-1] + (3, 3, 3))
+        dt = d.T                  # dt[k, j, i] is d g_ij / d x_k
+        dt[0, 1, 0] = dt[0, 0, 1] = a * s
+        dt[0, 2, 0] = dt[0, 0, 2] = -a * c
         return d
+
+    def vgrad(x):
+        out = np.zeros(x.shape)
+        out.T[0] = -np.sin(x.T[0])
+        out.T[2] = b
+        return out
 
     if domain is None:
         domain = Box(lo=(-0.4, -1.0, -1.0), hi=(0.4, 1.0, 1.0))
     return MechanicalSystem(
         n=3, m=1,
         metric=Field(gval, gder),
-        potential=ScalarField(lambda x: b * x[2] + np.cos(x[0]),
-                              lambda x: np.array([-np.sin(x[0]), 0.0, b])),
+        potential=ScalarField(lambda x: b * x.T[2] + np.cos(x.T[0]), vgrad),
         dissipation=DissipationField.zero(3),
         params={"a": a, "b": b},
         domain=domain,
@@ -151,12 +164,17 @@ def pendulum_fixture(p: PendulumParams
     slope = m0 / t0          # chart slope, also the dissipation direction weight
     ca = a / t0
 
+    # one point or a stack, as pendulum_cart's kernels
     def rval(x):
-        return np.array([[t0, m0 * np.cos(x[0]), 0.0]])
+        r = np.zeros(x.shape[:-1] + (1, 3))
+        rt = r.T
+        rt[0, 0] = t0
+        rt[1, 0] = m0 * np.cos(x.T[0])
+        return r
 
     def rder(x):
-        d = np.zeros((1, 3, 3))
-        d[0, 1, 0] = -m0 * np.sin(x[0])
+        d = np.zeros(x.shape[:-1] + (1, 3, 3))
+        d.T[0, 1, 0] = -m0 * np.sin(x.T[0])   # d r_01 / d x_0
         return d
 
     ratio = Field(rval, rder)
@@ -251,7 +269,7 @@ def pendulum_ratio_family(p: PendulumParams, overlap: Callable,
         l1 = nv + 0.5 * (c / s) * npr + a * f3 / s
         return np.array([[l1, l2, f3]])
 
-    return Field(rval)
+    return Field(per_point(rval))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
-from ..fields import DissipationField, Field, ScalarField
+from ..fields import DissipationField, Field, ScalarField, per_point
 from ..geometry import Box, MechanicalSystem
 
 PLANAR = "planar"
@@ -182,8 +182,8 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
 
     return MechanicalSystem(
         n=2, m=1,
-        metric=Field(gval, gder),
-        potential=ScalarField(vval, vgrad),
+        metric=Field(per_point(gval), per_point(gder)),
+        potential=ScalarField(per_point(vval), per_point(vgrad)),
         dissipation=DissipationField.zero(2),
         params={"a": a, "b": b},
         domain=domain,
@@ -220,7 +220,7 @@ def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
                           -nr / (2.0 * b * ca)]])
 
     if overlap_curvature is None:
-        return Field(rval)
+        return Field(per_point(rval))
 
     def rder(x):
         th, ca = angle(x)
@@ -233,7 +233,7 @@ def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
                            0.5 * ar * sec2 * nr],
                           [-nc / (2.0 * b * ca) + tilt, -ar * tilt]]])
 
-    return Field(rval, rder)
+    return Field(per_point(rval), per_point(rder))
 
 
 def curvature_integral(curve: TrackCurve, b: float, s: float,
@@ -299,4 +299,4 @@ def incline_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
         return np.array([[nv - (np.sin(a0 - phi) / s2) * nr,
                           nr / (b * s2)]])
 
-    return Field(rval)
+    return Field(per_point(rval))

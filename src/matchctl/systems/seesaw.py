@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
-from ..fields import DissipationField, Field, ScalarField
+from ..fields import DissipationField, Field, ScalarField, per_point
 from ..geometry import Box, MechanicalSystem
 
 LOCUS_GUARD = 1e-6
@@ -52,11 +52,12 @@ def seesaw_cart(a: float = 0.5, b: float = 2.0, domain: Box | None = None,
         domain = Box(lo=(0.6, -0.4, 0.5), hi=(1.4, 0.4, 1.5))
     return MechanicalSystem(
         n=3, m=1,
-        metric=Field(gval, gder),
+        metric=Field(per_point(gval), per_point(gder)),
         potential=ScalarField(
-            lambda x: x[2] * np.sin(x[1]) + a * np.cos(x[0]),
-            lambda x: np.array([-a * np.sin(x[0]), x[2] * np.cos(x[1]),
-                                np.sin(x[1])])),
+            per_point(lambda x: x[2] * np.sin(x[1]) + a * np.cos(x[0])),
+            per_point(lambda x: np.array([-a * np.sin(x[0]),
+                                          x[2] * np.cos(x[1]),
+                                          np.sin(x[1])]))),
         dissipation=DissipationField.zero(3),
         params={"a": a, "b": b},
         domain=domain,
@@ -91,7 +92,7 @@ def seesaw_ratio_family(a: float, b: float, overlap: Callable,
               - b * s * n0) / (2.0 * b * w * s)
         return np.array([[r1, r2, r3]])
 
-    return Field(rval)
+    return Field(per_point(rval))
 
 
 def unit_overlap_ratio(a: float, b: float) -> Field:

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from matchctl import matching, synthesis
+from matchctl import characteristics, matching, synthesis
 from matchctl.config import load_config
 from matchctl.geometry import State
 
@@ -86,3 +86,42 @@ def test_traced_closed_loop_matches_the_plain_run():
                  "fields.plant.potential.gradient",
                  "fields.target.metric.value", "synthesis.controller"):
         assert count[name] == 4 * k + 1, name
+
+
+def test_traced_transport_matches_the_plain_build():
+    # built as the transport-grid workload builds its traced inputs
+    cfg = load_config(os.path.join(ROOT, "configs", "pendulum.yaml"))
+    plain = cfg.fixture
+    rec = SPANS.Recorder("hooks")
+    system, ratio = rec.system(plain.system), rec.field("fields.ratio",
+                                                         plain.ratio)
+    target = rec.target(plain.target)
+    vals = np.linspace(-0.5, 0.5, 3)
+
+    def build(system, ratio, target):
+        return characteristics.transport_target_data(
+            system, ratio,
+            initial_block=lambda x: target.metric.value(x)[1:, 1:],
+            initial_potential=lambda x: float(target.potential(x)),
+            anchor=np.zeros(3), times=np.linspace(-0.2, 0.2, 21),
+            seed_values=[(1, vals), (2, vals)], plane_axis=0, dt=2e-3)
+
+    rec.install()
+    try:
+        traced = build(system, ratio, target)
+        report = characteristics.row_identity_check(system, ratio, traced,
+                                                    tol=1e-7)
+    finally:
+        rec.uninstall()
+    reference = build(plain.system, plain.ratio, plain.target)
+    for name in ("states", "metric", "potential", "residual_metric",
+                 "residual_potential", "symmetry_defect", "warnings"):
+        assert np.array_equal(getattr(traced, name),
+                              getattr(reference, name)), name
+    assert report.passed
+    called = {rec.names[i] for i in rec.name_id}
+    assert {"characteristics.transport_target_data",
+            "characteristics.row_identity_check",
+            "characteristics.complete_metric_rows", "fields.ratio.value",
+            "fields.ratio.derivative", "fields.plant.metric.derivative",
+            "fields.plant.potential.gradient"} <= called

@@ -4,15 +4,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from matchctl import (Field, State, complete_metric_rows, flow_map,
-                      row_identity_check, scaling_solution,
+import os
+
+from matchctl import (Field, MechanicalSystem, State, complete_metric_rows,
+                      flow_map, row_identity_check, scaling_solution,
                       transport_target_data)
 from matchctl.characteristics import CharacteristicGrid, grid_csv
+from matchctl.config import load_config
 from matchctl.errors import (AsymmetryError, DomainError, ScopeError,
                              SingularFieldError, SingularLocusError,
                              TransversalityError)
-from matchctl.systems import (PendulumParams, chained_pendulums,
-                              pendulum_fixture)
+from matchctl.fields import per_point
+from matchctl.rk4 import rk4_span
+from matchctl.systems import (PendulumParams, bead_on_track,
+                              chained_pendulums, helix_track,
+                              incline_ratio_family, pendulum_fixture,
+                              pendulum_ratio_family, seesaw_cart,
+                              unit_overlap_ratio)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 rng = np.random.default_rng(12)
 
@@ -303,3 +313,199 @@ def test_grid_csv_layout_and_determinism(tmp_path):
     out = tmp_path / "grid.csv"
     grid_csv(grid, path=str(out))
     assert out.read_text() == text
+
+
+def _bead_case():
+    """The shipped rollercoaster plant and planar ratio (per-point kernels),
+    with smooth made-up seed data on a 3-seed line."""
+    b = load_config(os.path.join(ROOT, "configs", "rollercoaster.yaml")).fixture
+    c = b.system.domain.center
+    return dict(sys=b.system, ratio=b.ratio,
+                initial_block=lambda x: np.array([[1.0 + 0.1 * x[1]]]),
+                initial_potential=lambda x: float(x[1] ** 2),
+                anchor=c, times=np.linspace(-0.1, 0.1, 5),
+                seed_values=[(1, np.linspace(c[1] - 0.2, c[1] + 0.2, 3))],
+                dt=1e-2)
+
+
+def _pendulum_case():
+    vals = np.linspace(-0.4, 0.4, 3)
+    return dict(sys=SYS, ratio=RATIO,
+                initial_block=lambda x: TARGET.metric.value(x)[1:, 1:],
+                initial_potential=lambda x: float(TARGET.potential(x)),
+                anchor=np.zeros(3), times=np.linspace(-0.3, 0.3, 7),
+                seed_values=[(1, vals), (2, vals)], dt=1e-2)
+
+
+def _reference_carry(case, grid):
+    """Each seed carried on its own, one point per evaluation."""
+    sys, ratio, n = case["sys"], case["ratio"], case["sys"].n
+
+    def rhs(z):
+        x, gh = z[:n], z[n:-1].reshape(n, n)
+        jac = ratio.derivative(x)[0]
+        slope = sys.metric.derivative(x)[:, :, 0] - jac.T @ gh - gh @ jac
+        return np.concatenate((ratio.value(x)[0], slope.ravel(),
+                               [sys.potential.gradient(x)[0]]))
+
+    times, j0 = grid.times, grid.time_index(0.0)
+    states, metric = np.zeros_like(grid.states), np.zeros_like(grid.metric)
+    potential = np.zeros_like(grid.potential)
+    for i, p in enumerate(grid.seed_points):
+        gh0 = complete_metric_rows(sys, ratio, case["initial_block"](p), p)
+        z0 = np.concatenate((p, gh0.ravel(), [case["initial_potential"](p)]))
+        for stored in ([j0], range(j0 + 1, times.size),
+                       range(j0 - 1, -1, -1)):
+            z, prev = z0, j0
+            for j in stored:
+                z = rk4_span(rhs, z, times[j] - times[prev], case["dt"])
+                states[i, j], potential[i, j] = z[:n], z[-1]
+                metric[i, j] = z[n:-1].reshape(n, n)
+                prev = j
+    return states, metric, potential
+
+
+def _transport(case, **swap):
+    case = dict(case, **swap)
+    return transport_target_data(
+        case["sys"], case["ratio"], case["initial_block"],
+        case["initial_potential"], anchor=case["anchor"],
+        times=case["times"], seed_values=case["seed_values"], dt=case["dt"])
+
+
+@pytest.mark.parametrize("make_case", [_pendulum_case, _bead_case],
+                         ids=["pendulum-native", "bead-per-point"])
+def test_stacked_carry_matches_a_per_seed_carry(make_case):
+    case = make_case()
+    grid = _transport(case)
+    want = _reference_carry(case, grid)
+    for got, ref in zip((grid.states, grid.metric, grid.potential), want):
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    if make_case is _pendulum_case:
+        for got, ref in zip((grid.states, grid.metric, grid.potential), want):
+            assert np.array_equal(got, ref)
+
+
+def test_stacked_carry_evaluates_the_ratio_once_per_stage():
+    calls = {"value": 0, "derivative": 0}
+
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(RATIO, name)(x)
+        return call
+
+    counting = Field(counted("value"), counted("derivative"))
+    vals = np.linspace(-0.4, 0.4, 3)
+    # spans of 1/4 at dt = 1/16: exactly 4 RK4 steps per stored interval
+    grid = transport_target_data(
+        SYS, counting, lambda x: TARGET.metric.value(x)[1:, 1:],
+        lambda x: float(TARGET.potential(x)), anchor=np.zeros(3),
+        times=[-0.5, -0.25, 0.0, 0.25, 0.5],
+        seed_values=[(1, vals), (2, vals)], dt=0.0625)
+    k, steps = grid.seed_count, 4 * 4
+    # one stacked transversality check, the k seed completions, 4 per step
+    assert calls["value"] == 1 + k + 4 * steps
+    # 4 per step, and one stack per seed in the self-audit
+    assert calls["derivative"] == 4 * steps + k
+
+
+def test_transport_carries_the_seesaw_scaling_family():
+    plant = seesaw_cart()
+    ratio_s, target_s = scaling_solution(plant, 2.0)
+    vals = np.linspace(-0.3, 0.3, 3)
+    grid = transport_target_data(
+        plant, ratio_s,
+        initial_block=lambda x: target_s.metric.value(x)[1:, 1:],
+        initial_potential=lambda x: float(target_s.potential(x)),
+        anchor=plant.domain.center, times=np.linspace(-0.1, 0.1, 11),
+        seed_values=[(1, vals), (2, vals)], dt=2e-3)
+    assert grid.warnings == ()
+    for k in range(grid.seed_count):
+        for j in range(grid.times.size):
+            x = grid.states[k, j]
+            assert np.max(np.abs(grid.metric[k, j]
+                                 - target_s.metric.value(x))) <= 1e-9
+            assert abs(grid.potential[k, j]
+                       - float(target_s.potential(x))) <= 1e-9
+    assert row_identity_check(plant, ratio_s, grid).passed
+
+
+def _one_point_ratio(x):
+    return np.array([[P.tilt_ratio, P.sway_ratio * np.cos(x[0]), 0.0]])
+
+
+@pytest.mark.parametrize("swap", [
+    dict(ratio=Field(_one_point_ratio, RATIO.derivative)),
+    dict(ratio=Field(lambda x: RATIO.value(np.zeros(3)), RATIO.derivative)),
+    dict(ratio=Field(RATIO.value, lambda x: RATIO.derivative(np.zeros(3)))),
+    dict(sys=dataclasses.replace(SYS, metric=Field(
+        SYS.metric.value, lambda x: SYS.metric.derivative(x[0])))),
+], ids=["ratio-raises", "ratio-shape", "jacobian-shape", "metric-shape"])
+def test_one_point_fields_are_refused_by_the_stack_contract(swap):
+    with pytest.raises(DomainError, match="per_point"):
+        _transport(_pendulum_case(), **swap)
+
+
+def test_per_point_wrapped_fields_satisfy_the_stack_contract():
+    case = _pendulum_case()
+    plain = _transport(case)
+    wrapped = _transport(case, ratio=Field(per_point(_one_point_ratio),
+                                           RATIO.derivative))
+    assert np.array_equal(wrapped.metric, plain.metric)
+    assert np.array_equal(wrapped.potential, plain.potential)
+
+
+@pytest.mark.parametrize("swap", [
+    dict(initial_block=lambda x: np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    dict(initial_block=lambda x: np.array([[2.0, np.inf], [np.inf, 1.0]])),
+    dict(initial_potential=lambda x: np.nan if x[1] > 0.1 else 0.0),
+    dict(initial_potential=lambda x: -np.inf),
+], ids=["block-nan", "block-inf", "potential-nan", "potential-inf"])
+def test_nonfinite_seed_data_is_a_domain_error(swap):
+    with pytest.raises(DomainError):
+        _transport(_pendulum_case(), **swap)
+
+
+def test_row_identity_fails_a_nan_grid():
+    grid = _fixture_grid(np.linspace(-0.5, 0.5, 21))
+    spoiled = grid.metric.copy()
+    spoiled[4, 15, 0, 0] = np.nan
+    rep = row_identity_check(SYS, RATIO,
+                             dataclasses.replace(grid, metric=spoiled))
+    assert not rep.passed and np.isnan(rep.max_defect)
+    assert (rep.worst_seed, rep.worst_time) == (4, float(grid.times[15]))
+    assert "FAIL" in str(rep)
+    # all of it NaN: no negative "max defect" and no pass
+    blank = dataclasses.replace(grid, metric=np.full_like(grid.metric, np.nan))
+    rep = row_identity_check(SYS, RATIO, blank)
+    assert not rep.passed and not rep.max_defect < 0.0
+    assert np.isnan(rep.seed_defect)
+
+
+def _reachable_fields():
+    """(plant, ratio) pairs of every m = 1 fixture a transport can reach."""
+    seesaw = seesaw_cart()
+    helix = bead_on_track(helix_track(radius=1.5, climb=0.6))
+    family = pendulum_ratio_family(P, np.cos, lambda t: -np.sin(t),
+                                   free3=lambda x: 0.1 * x[2])
+    bead = _bead_case()
+    return {"pendulum": (SYS, RATIO), "pendulum-family": (SYS, family),
+            "seesaw-unit-overlap": (seesaw, unit_overlap_ratio(0.5, 2.0)),
+            "seesaw-scaling": (seesaw, scaling_solution(seesaw, 2.0)[0]),
+            "bead-planar": (bead["sys"], bead["ratio"]),
+            "bead-incline": (helix, incline_ratio_family(
+                helix_track(radius=1.5, climb=0.6), 0.5, np.sin, np.cos))}
+
+
+@pytest.mark.parametrize("name", sorted(_reachable_fields()))
+def test_transport_fields_answer_a_stack_as_each_point(name):
+    sys, ratio = _reachable_fields()[name]
+    pts = sys.domain.sample(np.random.default_rng(8), 6)
+    for method in (ratio.value, ratio.derivative, sys.metric.value,
+                   sys.metric.derivative, sys.potential.value,
+                   sys.potential.gradient):
+        stacked = method(pts)
+        assert stacked.shape[0] == pts.shape[0]
+        for p, row in zip(pts, stacked):
+            assert np.array_equal(row, method(p))

@@ -4,7 +4,7 @@ import pytest
 
 from matchctl.errors import DomainError
 from matchctl.fields import (DissipationField, Field, ScalarField,
-                             fd_derivative, scale_dissipation)
+                             fd_derivative, per_point, scale_dissipation)
 
 rng = np.random.default_rng(2)
 
@@ -132,3 +132,41 @@ def test_scale_dissipation():
     v = np.array([1.0, -3.0])
     assert np.allclose(half(np.zeros(2), v), v)
     assert np.allclose(half.jac_v(np.zeros(2), v), np.eye(2))
+
+
+def test_fd_derivative_differences_a_stack_along_the_last_axis():
+    pts = rng.uniform(-1, 1, (4, 3))
+    stacked = fd_derivative(per_point(_poly), pts)
+    assert stacked.shape == (4, 3)
+    for p, row in zip(pts, stacked):
+        assert np.array_equal(row, fd_derivative(_poly, p))
+
+
+def test_constant_field_answers_a_stack_in_kind():
+    rows = Field.constant([[1.0, 2.0, 0.0]])
+    pts = np.zeros((5, 3))
+    assert rows.value(pts).shape == (5, 1, 3)
+    assert np.array_equal(rows.value(pts)[3], [[1.0, 2.0, 0.0]])
+    assert np.array_equal(rows.derivative(pts), np.zeros((5, 1, 3, 3)))
+    # one point still gets the field's own (writeable) array
+    assert rows.value(np.zeros(3)) is rows.value(np.ones(3))
+    assert rows.value(np.zeros(3)).flags.writeable
+    c = ScalarField.constant(4.2)
+    assert np.array_equal(c.value(pts), np.full(5, 4.2))
+    assert np.array_equal(c.gradient(pts), np.zeros((5, 3)))
+
+
+def test_per_point_stacks_a_one_point_kernel():
+    def kernel(x):
+        if abs(x[0]) < 1e-9:     # a scalar test: fails on a stack as written
+            return np.eye(2)
+        return np.array([[x[0], x[1]], [x[1], 1.0]])
+
+    f = Field(per_point(kernel))
+    pts = rng.uniform(0.5, 1.0, (2, 3, 2))
+    got = f.value(pts)
+    assert got.shape == (2, 3, 2, 2)
+    assert np.array_equal(got[1, 2], kernel(pts[1, 2]))
+    assert np.array_equal(f.value(pts[0, 0]), kernel(pts[0, 0]))
+    with pytest.raises(ValueError):
+        Field(kernel).value(pts[0])

@@ -161,6 +161,18 @@ def test_memo_leaves_equality_hash_and_repr_alone():
     assert errors[0] == errors[1]
 
 
+def test_states_compare_by_value():
+    # distinct arrays with equal values: the generated tuple comparison
+    # raised "truth value of an array ... is ambiguous" here
+    assert State(np.zeros(2), np.ones(2)) == State(np.zeros(2), np.ones(2))
+    assert not State(np.zeros(2), np.ones(2)) != State(np.zeros(2), np.ones(2))
+    assert State(X0, V0) != State(X0, 2.0 * V0)
+    assert State(X0, V0) != State(X0 + 1.0, V0)
+    assert State(np.zeros(2), np.zeros(2)) != State(np.zeros(3), np.zeros(3))
+    assert State(X0, V0) != (X0, V0)
+    assert isinstance(State(X0, V0) == State(X0, V0), bool)
+
+
 def test_memo_keeps_plant_and_target_apart():
     s = _fill(State(X0, V0))
     for model in (PLANT, TARGET):
