@@ -12,6 +12,7 @@ propagate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ def _stacked(method, xs: np.ndarray, shape: tuple) -> np.ndarray:
 def _drive_row(ratio: Field, x: np.ndarray) -> np.ndarray:
     """First ratio row as the flow velocity, guarded against vanishing."""
     v = ratio.value(x)[0]
-    norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm) or norm < FIELD_FLOOR:
+    norm = math.sqrt(float(v @ v))
+    if not FIELD_FLOOR <= norm < math.inf:
         raise SingularFieldError(
             "transport direction vanished along the flow (|row| = %.3e)" % norm)
     return v
@@ -193,9 +194,27 @@ class CharacteristicGrid:
         the payload is combined multilinearly in the seed-plane
         coordinates and the flow time.  Seed axes carrying a single
         value admit no variation, so the query must sit on them.
+
+        x must be a finite configuration of shape (n,).  The walk steps
+        by dt (the grid's own step when None), which must be positive
+        and finite, with the grid's flow-time span within STEP_LIMIT
+        steps of it; any of these failing is a DomainError.  Each full
+        step evaluates the ratio row four times, the first step reusing
+        the transversality check's row, and each probe of the crossing
+        three times.
         """
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DomainError("query must be a configuration of shape (%d,), "
+                              "got %s" % (self.n, x.shape))
+        if not np.isfinite(x).all():
+            raise DomainError("query has non-finite entries")
         step = self.dt if dt is None else float(dt)
+        if not 0.0 < step < np.inf:
+            raise DomainError("walk step dt must be positive and finite")
+        if (self.times[-1] - self.times[0]) / step > STEP_LIMIT:
+            raise DomainError("flow-time span needs more than %d steps at "
+                              "dt=%.3g" % (STEP_LIMIT, step))
         t_star, hit = _plane_time(self.field, x, self.plane_axis,
                                   self.plane_value, step,
                                   float(self.times[0]), float(self.times[-1]))
@@ -248,10 +267,16 @@ def _plane_time(ratio: Field, x: np.ndarray, axis: int, value: float,
                 dt: float, t_lo: float, t_hi: float):
     """Flow time of x measured from the seed plane, plus the plane point.
 
-    Marches x along the flow in the direction that approaches the
-    plane, brackets the crossing, and bisects inside the bracketing
-    step.  Returns (t_star, hit) with flow_map(hit, t_star) == x up to
-    integrator error.
+    Marches x along the flow in steps of dt in the direction that
+    approaches the plane until a step brackets the crossing, then finds
+    the crossing inside that step.  Each step's first slope is evaluated
+    once: the transversality check's row serves the first step, and
+    every probe of the bracketing step starts from the same point with
+    that step's slope.  The probes follow regula falsi (Illinois
+    variant) on the plane gap over [0, dt], falling back to the midpoint
+    whenever the secant estimate leaves the bracket, and stop once
+    |gap| <= PLANE_HIT_TOL or after 60 probes.  Returns (t_star, hit)
+    with flow_map(hit, t_star) == x up to integrator error.
     """
     gap = float(x[axis] - value)
     if abs(gap) <= PLANE_HIT_TOL:
@@ -267,23 +292,33 @@ def _plane_time(ratio: Field, x: np.ndarray, axis: int, value: float,
 
     u, cur, g_cur = 0.0, x.copy(), gap
     while abs(u) <= budget:
-        nxt = rk4_step(vel, cur, direction * dt)
+        k1 = v if u == 0.0 else vel(cur)
+        nxt = rk4_step(vel, cur, direction * dt, k1)
         g_nxt = float(nxt[axis] - value)
         if abs(g_nxt) <= PLANE_HIT_TOL:
             return -(u + direction * dt), nxt
         if g_cur * g_nxt < 0.0:
-            lo, hi = 0.0, dt
+            lo, g_lo, hi, g_hi, kept = 0.0, g_cur, dt, g_nxt, None
             for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                probe = rk4_step(vel, cur, direction * mid)
-                g_mid = float(probe[axis] - value)
-                if abs(g_mid) <= PLANE_HIT_TOL:
+                s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+                if not lo < s < hi:
+                    s = 0.5 * (lo + hi)
+                probe = rk4_step(vel, cur, direction * s, k1)
+                g_s = float(probe[axis] - value)
+                if abs(g_s) <= PLANE_HIT_TOL:
                     break
-                if g_cur * g_mid < 0.0:
-                    hi = mid
+                # Illinois: an end kept twice in a row has its gap halved
+                if g_lo * g_s < 0.0:
+                    hi, g_hi = s, g_s
+                    if kept == "lo":
+                        g_lo *= 0.5
+                    kept = "lo"
                 else:
-                    lo = mid
-            return -(u + direction * mid), probe
+                    lo, g_lo = s, g_s
+                    if kept == "hi":
+                        g_hi *= 0.5
+                    kept = "hi"
+            return -(u + direction * s), probe
         u += direction * dt
         cur, g_cur = nxt, g_nxt
     raise DomainError("query does not reach the seed plane within the "

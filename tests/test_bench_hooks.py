@@ -125,3 +125,45 @@ def test_traced_transport_matches_the_plain_build():
             "characteristics.complete_metric_rows", "fields.ratio.value",
             "fields.ratio.derivative", "fields.plant.metric.derivative",
             "fields.plant.potential.gradient"} <= called
+
+
+def test_traced_queries_match_the_plain_walk():
+    # inputs built as the transport-grid workload builds its traced inputs
+    cfg = load_config(os.path.join(ROOT, "configs", "pendulum.yaml"))
+    plain = cfg.fixture
+    rec = SPANS.Recorder("hooks")
+    traced = (rec.system(plain.system), rec.field("fields.ratio", plain.ratio),
+              rec.target(plain.target))
+    vals = np.linspace(-0.5, 0.5, 3)
+
+    def build(system, ratio, target):
+        return characteristics.transport_target_data(
+            system, ratio,
+            initial_block=lambda x: target.metric.value(x)[1:, 1:],
+            initial_potential=lambda x: float(target.potential(x)),
+            anchor=np.zeros(3), times=np.linspace(-0.2, 0.2, 21),
+            seed_values=[(1, vals), (2, vals)], plane_axis=0, dt=2e-3)
+
+    reference = build(plain.system, plain.ratio, plain.target)
+    queries = [reference.states[k, j] for k, j in ((0, 0), (4, 7), (8, 20))]
+    queries += [characteristics.flow_map(plain.ratio, np.array([0.0, u, v]), t)
+                for u, v, t in ((0.3, -0.1, 0.13), (-0.4, 0.2, -0.17),
+                                (0.05, 0.45, 0.021))]
+    want = [reference.interpolate(q) for q in queries]
+    rec.install()
+    try:
+        grid = build(*traced)
+        got = [grid.interpolate(q) for q in queries]
+    finally:
+        rec.uninstall()
+    for (gh, vh), (want_g, want_v) in zip(got, want):
+        assert np.array_equal(gh, want_g) and vh == want_v
+    # the walk evaluates nothing but the ratio's value
+    spans = rec.arrays()
+    walks = {i for i, nid in enumerate(spans["name_id"])
+             if rec.names[nid] == "characteristics.interpolate"}
+    inner = {rec.names[nid] for nid, parent in zip(spans["name_id"],
+                                                   spans["parent"])
+             if parent in walks}
+    assert len(walks) == len(queries)
+    assert inner == {"fields.ratio.value"}

@@ -6,16 +6,17 @@ import pytest
 
 import os
 
-from matchctl import (Field, MechanicalSystem, State, complete_metric_rows,
-                      flow_map, row_identity_check, scaling_solution,
-                      transport_target_data)
-from matchctl.characteristics import CharacteristicGrid, grid_csv
+from matchctl import (Field, MechanicalSystem, State, characteristics,
+                      complete_metric_rows, flow_map, row_identity_check,
+                      scaling_solution, transport_target_data)
+from matchctl.characteristics import (FIELD_FLOOR, PLANE_HIT_TOL,
+                                      CharacteristicGrid, grid_csv)
 from matchctl.config import load_config
 from matchctl.errors import (AsymmetryError, DomainError, ScopeError,
                              SingularFieldError, SingularLocusError,
                              TransversalityError)
 from matchctl.fields import per_point
-from matchctl.rk4 import rk4_span
+from matchctl.rk4 import rk4_span, rk4_step
 from matchctl.systems import (PendulumParams, bead_on_track,
                               chained_pendulums, helix_track,
                               incline_ratio_family, pendulum_fixture,
@@ -279,6 +280,145 @@ def test_interpolation_at_nodes_and_off_grid_convergence():
     far = flow_map(RATIO, np.array([0.0, 0.1, 0.1]), 0.9)
     with pytest.raises(DomainError):
         coarse.interpolate(far)  # beyond the stored flow-time range
+
+
+def _refusing(x):
+    raise AssertionError("the seed-plane walk started")
+
+
+@pytest.mark.parametrize("query, dt", [
+    (np.zeros(2), None), (np.zeros(4), None), (0.1, None),
+    (np.array([0.1, np.nan, 0.0]), None), (np.array([np.inf, 0.0, 0.0]), None),
+    (np.array([0.1, 0.0, 0.0]), 0.0), (np.array([0.1, 0.0, 0.0]), 1e-300),
+    (np.array([0.1, 0.0, 0.0]), np.nan), (np.array([0.1, 0.0, 0.0]), -1e-3),
+    (np.array([0.1, 0.0, 0.0]), np.inf),
+], ids=["length-2", "length-4", "scalar", "nan", "inf", "dt-zero", "dt-tiny",
+        "dt-nan", "dt-negative", "dt-inf"])
+def test_malformed_query_or_walk_step_is_refused_before_walking(query, dt):
+    # the grid's field refuses every evaluation, so a walk that starts
+    # fails the test at once instead of hanging on a step that cannot end
+    grid = dataclasses.replace(_fixture_grid(np.linspace(-0.5, 0.5, 5)),
+                               field=Field(_refusing))
+    with pytest.raises(DomainError):
+        grid.interpolate(query, dt)
+
+
+@pytest.fixture
+def walk_steps(monkeypatch):
+    """Sizes |h| of the RK4 steps the seed-plane walk takes, in order."""
+    sizes = []
+
+    def recording(f, z, h, k1=None):
+        sizes.append(abs(h))
+        return rk4_step(f, z, h, k1)
+
+    monkeypatch.setattr(characteristics, "rk4_step", recording)
+    return sizes
+
+
+def test_walk_evaluates_each_stage_once(walk_steps):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return RATIO.value(x)
+
+    dt = 1.0 / 64.0                  # stored spans of 1/4 are 16 whole steps
+    grid = dataclasses.replace(
+        _fixture_grid(np.linspace(-0.5, 0.5, 5), dt=dt),
+        field=Field(counted, RATIO.derivative))
+    for j, steps in enumerate((32, 16, 0, 16, 32)):
+        calls.clear()
+        walk_steps.clear()
+        grid.interpolate(grid.states[4, j])
+        assert walk_steps == [dt] * steps
+        assert len(calls) == 4 * steps
+    # off the nodes the bracketing step is probed from its start point
+    calls.clear()
+    walk_steps.clear()
+    grid.interpolate(flow_map(RATIO, np.array([0.0, 0.1, -0.2]), 0.3))
+    steps = walk_steps.count(dt)
+    probes = len(walk_steps) - steps
+    assert steps == 20 and probes >= 1      # the 20th step brackets t = 0.3
+    assert len(calls) == 4 * steps + 3 * probes
+
+
+def _bisection_plane_time(ratio, x, axis, value, dt, t_lo, t_hi):
+    """The seed-plane walk as first written: four evaluations per step and
+    per probe, bisection inside the bracketing step.  Returns
+    (t_star, hit, probes)."""
+    def vel(y):
+        v = ratio.value(y)[0]
+        norm = float(np.linalg.norm(v))
+        if not np.isfinite(norm) or norm < FIELD_FLOOR:
+            raise SingularFieldError("transport direction vanished")
+        return v
+
+    gap = float(x[axis] - value)
+    if abs(gap) <= PLANE_HIT_TOL:
+        return 0.0, x.copy(), 0
+    v = vel(x)
+    direction = -1.0 if gap * v[axis] > 0.0 else 1.0
+    budget = (t_hi - t_lo) + 2.0 * dt
+    u, cur, g_cur = 0.0, x.copy(), gap
+    while abs(u) <= budget:
+        nxt = rk4_step(vel, cur, direction * dt)
+        g_nxt = float(nxt[axis] - value)
+        if abs(g_nxt) <= PLANE_HIT_TOL:
+            return -(u + direction * dt), nxt, 0
+        if g_cur * g_nxt < 0.0:
+            lo, hi = 0.0, dt
+            for probes in range(1, 61):
+                mid = 0.5 * (lo + hi)
+                probe = rk4_step(vel, cur, direction * mid)
+                g_mid = float(probe[axis] - value)
+                if abs(g_mid) <= PLANE_HIT_TOL:
+                    break
+                if g_cur * g_mid < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            return -(u + direction * mid), probe, probes
+        u += direction * dt
+        cur, g_cur = nxt, g_nxt
+    raise DomainError("query does not reach the seed plane")
+
+
+def test_walk_matches_the_bisection_walk(walk_steps):
+    grid = _fixture_grid(np.linspace(-0.5, 0.5, 21))
+
+    def both(ratio, x, value, dt):
+        walk_steps.clear()
+        t, hit = characteristics._plane_time(ratio, x, 0, value, dt,
+                                             -0.5, 0.5)
+        assert abs(hit[0] - value) <= PLANE_HIT_TOL
+        probes = sum(1 for h in walk_steps if h < dt)
+        return (t, hit, probes), _bisection_plane_time(ratio, x, 0, value,
+                                                       dt, -0.5, 0.5)
+
+    for k in range(grid.seed_count):
+        for j in range(0, grid.times.size, 4):
+            (t, hit, _), (t_ref, hit_ref, _) = both(RATIO, grid.states[k, j],
+                                                    0.0, grid.dt)
+            assert t == t_ref and np.array_equal(hit, hit_ref)
+    qrng = np.random.default_rng(5)
+    for _ in range(10):
+        u, v, t = qrng.uniform(-0.45, 0.45, 3)
+        q = flow_map(RATIO, np.array([0.0, u, v]), t)
+        (t, hit, probes), (t_ref, hit_ref, _) = both(RATIO, q, 0.0, grid.dt)
+        assert abs(t - t_ref) <= 1e-8
+        assert np.max(np.abs(hit - hit_ref)) <= 1e-8
+    # on the bead's planar ratio the plane gap is curved within a step
+    bead = _bead_case()
+    ratio, c = bead["ratio"], bead["anchor"]
+    for _ in range(6):
+        q = flow_map(ratio, c + [0.0, qrng.uniform(-0.15, 0.15)],
+                     qrng.uniform(-0.08, 0.08), dt=1e-3)
+        (t, hit, probes), (t_ref, hit_ref, probes_ref) = both(ratio, q, c[0],
+                                                              1e-2)
+        assert abs(t - t_ref) <= 1e-8
+        assert np.max(np.abs(hit - hit_ref)) <= 1e-8
+        assert 1 <= probes < probes_ref
 
 
 def test_transport_reproduces_a_scaling_family():
