@@ -19,11 +19,10 @@ from .config import (COMMANDS, RunConfig, load_config, override_key,
                      parse_config, with_overrides)
 from .errors import BlowUpError, ConfigError, MatchctlError
 from .fields import Field
-from .geometry import State
+from .geometry import State, energy
 from .matching import matching_residual, rank_condition, transport_residual
 from .synthesis import (linearize_closed_loop, lyapunov_audit,
-                        matched_controller, shaped_energy, simulate,
-                        trajectory_csv)
+                        matched_controller, simulate, trajectory_csv)
 from .systems.rigidity import basic_jet_residual, rigidity_probe
 
 
@@ -145,16 +144,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
                          % (exc.t, ", ".join("%.6e" % v for v in last)))
         return 1
 
-    energy = lambda s: shaped_energy(target, s)
+    target_energy = lambda s: energy(target, s)
     deviation = float(np.max(np.abs(plant.states - reference.states)))
     audit = lyapunov_audit(target, plant)
     e0, e1 = audit.energies[0], audit.energies[-1]
 
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        trajectory_csv(plant, energy,
+        trajectory_csv(plant, target_energy,
                        os.path.join(cfg.output_dir, "plant.csv"))
-        trajectory_csv(reference, energy,
+        trajectory_csv(reference, target_energy,
                        os.path.join(cfg.output_dir, "target.csv"))
     lines = ["fixture: %s" % bundle.name,
              "dt: %.3e  horizon: %.3f  nodes: %d"

@@ -131,7 +131,6 @@ class FixtureBundle:
     overlap: Field | None
     target: TargetSystem | None
     equilibrium: np.ndarray
-    detail: dict
 
 
 def _build_pendulum(params, path):
@@ -152,9 +151,7 @@ def _build_pendulum(params, path):
     if p.tilt_ratio == 0.0:
         raise ConfigError(path + ".tilt_ratio: must be nonzero")
     sys_, ratio, target = pendulum_fixture(p)
-    return FixtureBundle("pendulum", sys_, ratio, None, target, np.zeros(3),
-                         {"a": p.a, "b": p.b, "tilt_ratio": p.tilt_ratio,
-                          "sway_ratio": p.sway_ratio})
+    return FixtureBundle("pendulum", sys_, ratio, None, target, np.zeros(3))
 
 
 def _build_seesaw(params, path):
@@ -172,8 +169,7 @@ def _build_seesaw(params, path):
         d_rock = lambda x0, x2: prof.gradient(np.array([x0, x2]))[0]
         d_offset = lambda x0, x2: prof.gradient(np.array([x0, x2]))[1]
     ratio = seesaw_ratio_family(a, b, nu, d_rock, d_offset)
-    return FixtureBundle("seesaw", sys_, ratio, None, None, np.zeros(3),
-                         {"a": a, "b": b})
+    return FixtureBundle("seesaw", sys_, ratio, None, None, np.zeros(3))
 
 
 def _build_rollercoaster(params, path):
@@ -208,9 +204,7 @@ def _build_rollercoaster(params, path):
     else:
         ratio = incline_ratio_family(curve, b, nu, rate)
     eq = sys_.domain.center if sys_.domain is not None else np.zeros(2)
-    return FixtureBundle("rollercoaster", sys_, ratio, None, None, eq,
-                         {"a": a, "b": b, "shape": shape,
-                          "case": curve.case_tag})
+    return FixtureBundle("rollercoaster", sys_, ratio, None, None, eq)
 
 
 def _build_double_pendulum(params, path):
@@ -232,7 +226,7 @@ def _build_double_pendulum(params, path):
     sys_ = chained_pendulums(masses, weights, domain=_domain(params, path, 3))
     ratio, overlap = terminal_family(masses, lead)
     return FixtureBundle("double-pendulum", sys_, ratio, overlap, None,
-                         np.zeros(3), {"leading_overlap": lead})
+                         np.zeros(3))
 
 
 _BUILDERS = {

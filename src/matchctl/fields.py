@@ -1,11 +1,11 @@
 """Smooth fields with derivative access.
 
 Every geometric object the package manipulates is a field: a function of
-the configuration point that can also report its first derivatives.  A
-field's derivative comes from an explicit callable when one is given
-(the example systems hand-code these) and from central finite
-differences otherwise; the differences also serve as the cross-check
-oracle in the tests.
+the configuration point (of z = (x, xdot) for a dissipation) that can
+also report its first derivatives.  A field's derivative comes from an
+explicit callable when one is given (the example systems hand-code
+these) and from central finite differences otherwise; the differences
+also serve as the cross-check oracle in the tests.
 
 A kernel is given either one point, shape (n,), or a stack of points,
 shape (k, n), and answers in kind: its output for one point, or those
@@ -109,35 +109,41 @@ class ScalarField(Field):
         return self.derivative(x)
 
 
-class DissipationField:
-    """(x, xdot) -> (n,) velocity-dependent force with both Jacobians."""
+class DissipationField(Field):
+    """(x, xdot) -> (n,) velocity-dependent force, a field over z = (x, xdot).
+
+    Called as c(x, v) on the (x, v) kernel itself; value and derivative
+    take z.  The (n, 2n) derivative, from the stated Jacobians (both or
+    neither) or else finite differences in z, splits into jac_x and jac_v.
+    """
 
     def __init__(self, value: Callable, jac_x: Callable | None = None,
                  jac_v: Callable | None = None):
-        self._value = value
-        self._jac_x = jac_x
-        self._jac_v = jac_v
+        if (jac_x is None) != (jac_v is None):
+            raise DomainError("state both dissipation Jacobians or neither")
+        derivative = None
+        if jac_x is not None:
+            derivative = _over_z(lambda x, v: np.concatenate(
+                (jac_x(x, v), jac_v(x, v)), axis=-1))
+        super().__init__(_over_z(value), derivative)
+        self._force = value
 
     def __call__(self, x, v) -> np.ndarray:
-        out = np.asarray(self._value(np.asarray(x, dtype=float),
+        out = np.asarray(self._force(np.asarray(x, dtype=float),
                                      np.asarray(v, dtype=float)), dtype=float)
         if not np.isfinite(out).all():
             raise DomainError("dissipation returned non-finite values")
         return out
 
     def jac_x(self, x, v) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self._jac_x is not None:
-            return np.asarray(self._jac_x(x, v), dtype=float)
-        return fd_derivative(lambda p: self._value(p, v), x)
+        return self._jacobians(x, v)[0]
 
     def jac_v(self, x, v) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self._jac_v is not None:
-            return np.asarray(self._jac_v(x, v), dtype=float)
-        return fd_derivative(lambda w: self._value(x, w), v)
+        return self._jacobians(x, v)[1]
+
+    def _jacobians(self, x, v) -> list:
+        z = np.concatenate((x, v), axis=-1)
+        return np.split(self.derivative(z), 2, axis=-1)
 
     @classmethod
     def zero(cls, n: int):
@@ -146,27 +152,13 @@ class DissipationField:
         return cls(lambda x, v: z, lambda x, v: zz, lambda x, v: zz)
 
     @classmethod
-    def linear(cls, matrix: Callable, matrix_dx: Callable | None = None):
-        """Force of the form R(x) @ xdot from a matrix callable.
-
-        matrix_dx, if given, returns D[i, j, k] = d R_ij / d x_k.
-        """
-
-        def val(x, v):
-            return np.asarray(matrix(x), dtype=float) @ v
-
-        def jv(x, v):
-            return np.asarray(matrix(x), dtype=float)
-
-        jx = None
-        if matrix_dx is not None:
-            def jx(x, v):  # noqa: F811 - deliberate rebinding
-                return np.einsum("ijk,j->ik", np.asarray(matrix_dx(x), dtype=float), v)
-
-        return cls(val, jac_x=jx, jac_v=jv)
+    def scaled(cls, c: "DissipationField", factor: float):
+        """factor times c, both Jacobians included."""
+        return cls(lambda x, v: factor * c(x, v),
+                   jac_x=lambda x, v: factor * c.jac_x(x, v),
+                   jac_v=lambda x, v: factor * c.jac_v(x, v))
 
 
-def scale_dissipation(c: DissipationField, factor: float) -> DissipationField:
-    return DissipationField(lambda x, v: factor * c(x, v),
-                            jac_x=lambda x, v: factor * c.jac_x(x, v),
-                            jac_v=lambda x, v: factor * c.jac_v(x, v))
+def _over_z(kernel: Callable) -> Callable:
+    """An (x, v) kernel as a kernel of the stacked z = (x, v)."""
+    return lambda z: kernel(*np.split(z, 2, axis=-1))

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DomainError, SingularMetricError
 from .fields import DissipationField, Field, ScalarField
-from .targets import TargetSystem
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,27 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
 
+class Model:
+    """What plant and shaped target share: a kinetic matrix field (metric),
+    a potential and a dissipation.  Each side names its errors: metric_error
+    for a kinetic matrix misshapen or not finite, singular_error for one
+    that cannot be solved against."""
+
+    metric_error = DomainError
+    singular_error = SingularMetricError
+
+    def metric_at(self, x) -> np.ndarray:
+        """The kinetic matrix at x, checked to be (n, n) and finite."""
+        g = self.metric.value(x)
+        n = np.size(x)
+        if g.shape != (n, n) or not np.isfinite(g).all():
+            raise self.metric_error(
+                f"kinetic matrix misshapen or not finite at x={np.asarray(x)}")
+        return g
+
+
 @dataclass(frozen=True)
-class MechanicalSystem:
+class MechanicalSystem(Model):
     """Kinetic matrix, potential, dissipation, and the unactuated count m."""
 
     n: int
@@ -115,12 +133,6 @@ class MechanicalSystem:
     def __post_init__(self):
         if not (0 < self.m < self.n):
             raise DomainError("need 0 < m < n unactuated coordinates")
-
-    def metric_at(self, x) -> np.ndarray:
-        g = self.metric.value(x)
-        if g.shape != (self.n, self.n) or not np.isfinite(g).all():
-            raise DomainError("metric evaluation failed shape/finiteness check")
-        return g
 
     def check_metric_spd(self, x, tol: float = 1e-12) -> None:
         """Raise unless g(x) is symmetric positive definite."""
@@ -143,7 +155,7 @@ def christoffel_from_derivative(d: np.ndarray) -> np.ndarray:
     return 0.5 * (np.transpose(d, (2, 0, 1)) + np.transpose(d, (0, 2, 1)) - d)
 
 
-def christoffel_first(model: MechanicalSystem | TargetSystem, x) -> np.ndarray:
+def christoffel_first(model: Model, x) -> np.ndarray:
     """First-kind symbols G[i, j, k] of the model's kinetic matrix at x."""
     d = model.metric.derivative(x)  # d[i, j, k] = d g_ij / d x_k
     if not np.isfinite(d).all():
@@ -156,8 +168,7 @@ def quadratic_velocity_force(gamma: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     return np.einsum("jkr,j,k->r", gamma, xdot, xdot)
 
 
-def kinetic_matrix(model: MechanicalSystem | TargetSystem,
-                   s: State) -> np.ndarray:
+def kinetic_matrix(model: Model, s: State) -> np.ndarray:
     """The model's checked kinetic matrix model.metric_at(s.x).
 
     Evaluated once per state and model (see State); read-only."""
@@ -170,7 +181,7 @@ def kinetic_matrix(model: MechanicalSystem | TargetSystem,
     return g
 
 
-def force(model: MechanicalSystem | TargetSystem, s: State) -> np.ndarray:
+def force(model: Model, s: State) -> np.ndarray:
     """Velocity-quadratic, dissipative and potential force at the state:
     G[j,k,r] xd^j xd^k + C_r + dV/dx^r, for a plant or a shaped target.
 
@@ -187,6 +198,15 @@ def force(model: MechanicalSystem | TargetSystem, s: State) -> np.ndarray:
     return f
 
 
+def solve(model: Model, s: State, rhs) -> np.ndarray:
+    """g(x)^-1 rhs by one solve against the memoized kinetic matrix."""
+    try:
+        return np.linalg.solve(kinetic_matrix(model, s), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise model.singular_error(
+            f"kinetic matrix is singular at x={s.x}") from exc
+
+
 def acceleration(sys: MechanicalSystem, s: State, u: np.ndarray) -> np.ndarray:
     """Solve the equations of motion for xdd at the given state and control.
 
@@ -195,18 +215,14 @@ def acceleration(sys: MechanicalSystem, s: State, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (sys.n,) or not np.isfinite(u).all():
         raise DomainError("control vector has wrong shape or non-finite entries")
-    g = kinetic_matrix(sys, s)
-    try:
-        return np.linalg.solve(g, u - force(sys, s))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError(
-            f"metric is singular at x={s.x}, cannot solve for acceleration") from exc
+    return solve(sys, s, u - force(sys, s))
 
 
-def energy(sys: MechanicalSystem, s: State) -> float:
-    """Total energy xd.g.xd/2 + V at the state."""
-    g = sys.metric_at(s.x)
-    return float(0.5 * s.xdot @ g @ s.xdot + sys.potential(s.x))
+def energy(model: Model, s: State) -> float:
+    """Total energy xd.g.xd/2 + V at the state; for a shaped target this
+    is the Lyapunov candidate of the loop."""
+    g = model.metric_at(s.x)
+    return float(0.5 * s.xdot @ g @ s.xdot + model.potential(s.x))
 
 
 def rescale_coordinates(sys: MechanicalSystem, scales) -> MechanicalSystem:

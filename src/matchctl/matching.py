@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
                      ScopeError)
-from .fields import Field, ScalarField, fd_derivative, scale_dissipation
+from .fields import DissipationField, Field, ScalarField, fd_derivative
 from .geometry import (MechanicalSystem, State, christoffel_first, force,
                        kinetic_matrix)
 from .targets import TargetSystem
@@ -379,7 +379,8 @@ def scaling_solution(sys: MechanicalSystem, scale: float,
             lambda x: sys.potential.gradient(x) / scale
             + potential_extra.gradient(x))
     target = TargetSystem(metric=tmetric, potential=tpot,
-                          dissipation=scale_dissipation(sys.dissipation, 1.0 / scale),
+                          dissipation=DissipationField.scaled(sys.dissipation,
+                                                              1.0 / scale),
                           name=f"{sys.name or 'system'}-scaled")
 
     if check_positivity:

@@ -9,13 +9,13 @@ its dissipation identity, linearizes about rest points, and compares
 first-order germs of feedback laws.
 
 The law needs the target's kinetic matrix only through one linear solve
-per evaluation, applied to the target's summed forces; no inverse is
-formed on the simulation path.  The plant metric is solved against
-solely when the plant itself is integrated, so degenerate plants
-(singular mass matrix) still admit law construction, germ work, and
-target-side simulation.  Each side's kinetic matrix and force are
-memoized on the State (geometry.State), so a closed-loop stage
-evaluates the plant once for the law and the acceleration together.
+per evaluation (geometry.solve, as the plant's acceleration does), on
+the target's summed forces; no inverse is formed on the simulation path.
+The plant metric is solved against solely when the plant itself is
+integrated, so degenerate plants (singular mass matrix) still admit law
+construction, germ work, and target-side simulation.  Each side's
+kinetic matrix and force are memoized on the State, so a closed-loop
+stage evaluates the plant once for the law and the acceleration together.
 """
 from __future__ import annotations
 
@@ -26,11 +26,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, MatchctlError,
-                     NotAnEquilibriumError, ScopeError, SingularTargetError)
+                     NotAnEquilibriumError, ScopeError)
 from .fields import FD_STEP, fd_derivative
 # christoffel_first is imported by name so perfbench/spans.py can patch it
 from .geometry import (MechanicalSystem, State, acceleration,  # noqa: F401
-                       christoffel_first, force, kinetic_matrix)
+                       christoffel_first, energy, force, kinetic_matrix,
+                       solve)
 from .matching import matching_residual
 from .rk4 import rk4_step
 from .targets import TargetSystem
@@ -40,25 +41,8 @@ MATCH_CHECK_TOL = 1e-6
 MAX_STEPS = 20_000_000
 
 
-def shaped_energy(target: TargetSystem, s: State) -> float:
-    """Energy of the target system: half the shaped quadratic form plus
-    the shaped potential.  This is the Lyapunov candidate for the loop."""
-    g = target.metric_at(s.x)
-    return float(0.5 * s.xdot @ g @ s.xdot + target.potential(s.x))
-
-
-def _target_solve(target: TargetSystem, s: State, rhs) -> np.ndarray:
-    """G(x)^-1 rhs by one linear solve, without forming the inverse."""
-    g = kinetic_matrix(target, s)
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTargetError(
-            f"target kinetic matrix is singular at x={s.x}") from exc
-
-
 def target_acceleration(target: TargetSystem, s: State) -> np.ndarray:
-    return _target_solve(target, s, -force(target, s))
+    return solve(target, s, -force(target, s))
 
 
 def control_law(sys: MechanicalSystem, target: TargetSystem,
@@ -78,7 +62,7 @@ def control_law(sys: MechanicalSystem, target: TargetSystem,
     plant's.
     """
     g = kinetic_matrix(sys, s)
-    return force(sys, s) - g @ _target_solve(target, s, force(target, s))
+    return force(sys, s) - g @ solve(target, s, force(target, s))
 
 
 def matched_controller(sys: MechanicalSystem,
@@ -271,7 +255,7 @@ def lyapunov_audit(target: TargetSystem, traj: Trajectory) -> LyapunovAudit:
     powers = np.empty(k)
     for i in range(k):
         s = traj.state_at(i)
-        energies[i] = shaped_energy(target, s)
+        energies[i] = energy(target, s)
         powers[i] = float(target.dissipation(s.x, s.xdot) @ s.xdot)
     ddt = (energies[2:] - energies[:-2]) / (2.0 * dt)
     return LyapunovAudit(times=traj.times, energies=energies, powers=powers,

@@ -7,10 +7,11 @@ import numpy as np
 
 from .errors import SingularTargetError
 from .fields import DissipationField, Field, ScalarField
+from .geometry import Model, State, solve
 
 
 @dataclass(frozen=True)
-class TargetSystem:
+class TargetSystem(Model):
     """The dynamics the feedback law makes the plant imitate.
 
     Mirrors the plant's shape: a kinetic matrix field, a potential, and a
@@ -23,17 +24,9 @@ class TargetSystem:
     dissipation: DissipationField
     name: str = ""
 
-    def metric_at(self, x) -> np.ndarray:
-        g = self.metric.value(x)
-        if not np.isfinite(g).all():
-            raise SingularTargetError(
-                f"target kinetic matrix has non-finite entries at x={np.asarray(x)}")
-        return g
+    metric_error = SingularTargetError
+    singular_error = SingularTargetError
 
     def metric_inv(self, x) -> np.ndarray:
-        g = self.metric_at(x)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularTargetError(
-                f"target kinetic matrix is singular at x={np.asarray(x)}") from exc
+        """The inverse kinetic matrix at x: the solve against the identity."""
+        return solve(self, State(x, np.zeros_like(x)), np.eye(np.size(x)))

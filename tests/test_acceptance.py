@@ -16,7 +16,7 @@ from matchctl import (State, assemble_compatibility, matching_residual,
 from matchctl.cli import main
 from matchctl.fields import (DissipationField, Field, ScalarField,
                              fd_derivative)
-from matchctl.geometry import Box, MechanicalSystem
+from matchctl.geometry import Box, MechanicalSystem, energy
 from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, involutive_closure,
                                kernel_direction_fields, rank_condition,
@@ -24,7 +24,7 @@ from matchctl.matching import (actuated_block_matrix_field,
 from matchctl.shapes import constant_profile
 from matchctl.synthesis import (germ_check, linear_gains_from_blocks,
                                 linearize_closed_loop, lyapunov_audit,
-                                matched_controller, shaped_energy, simulate)
+                                matched_controller, simulate)
 from matchctl.systems import (PendulumParams, basic_jet_residual,
                               bead_on_track, chained_pendulums, helix_track,
                               incline_chart, incline_ratio_family,
@@ -209,7 +209,7 @@ def test_criterion_05_compliant_parameter_set_stabilizes_the_rest_point():
     fast = V[:, np.argmin(w.real)].real
     z = fast / np.linalg.norm(fast) * 0.1
     traj = simulate(target_s, State(z[:3], z[3:]), 60.0, 1e-3)
-    H = np.array([shaped_energy(target_s, traj.state_at(i))
+    H = np.array([energy(target_s, traj.state_at(i))
                   for i in range(len(traj.times))])
     rise = float(np.max(np.diff(H)))
     print(f"H(0) {H[0]:.6e}  H(60) {H[-1]:.6e}  ratio {H[-1] / H[0]:.3e} "
@@ -228,7 +228,7 @@ def test_criterion_06_energy_rate_matches_drag_and_holds_without_it():
     p0 = PendulumParams(gain=constant_profile(0.0, dim=3)).resolved()
     _, _, target0 = pendulum_fixture(p0)
     run = simulate(target0, S0, 10.0, 1e-3)
-    E = np.array([shaped_energy(target0, run.state_at(i))
+    E = np.array([energy(target0, run.state_at(i))
                   for i in range(0, len(run.times), 100)])
     drift = np.max(np.abs(E - E[0]))
     print(f"zero-drag energy drift over T=10: {drift:.3e} (bound 1e-8)")

@@ -87,6 +87,26 @@ def test_traced_closed_loop_matches_the_plain_run():
                  "fields.target.metric.value", "synthesis.controller"):
         assert count[name] == 4 * k + 1, name
 
+    # the workload's other half: the target alone and the energy audit
+    rec.install()
+    try:
+        free = synthesis.simulate(t_target, s0, k * dt, dt)
+        audit = synthesis.lyapunov_audit(t_target, traced)
+    finally:
+        rec.uninstall()
+    assert np.array_equal(free.states,
+                          synthesis.simulate(target, s0, k * dt, dt).states)
+    plain_audit = synthesis.lyapunov_audit(target, plain)
+    for part in ("energies", "powers", "defects"):
+        assert np.array_equal(getattr(audit, part),
+                              getattr(plain_audit, part)), part
+    calls = np.bincount(np.frombuffer(rec.name_id, dtype=np.int32),
+                        minlength=len(rec.names))
+    count = dict(zip(rec.names, calls))
+    # every target metric evaluation passes the traced metric_at: the
+    # closed loop's 4k + 1, the free run's 4k stages and one per audit node
+    assert count["targets.metric_at"] == (4 * k + 1) + 4 * k + (k + 1)
+
 
 def test_traced_transport_matches_the_plain_build():
     # built as the transport-grid workload builds its traced inputs

@@ -4,7 +4,7 @@ import pytest
 
 from matchctl.errors import DomainError
 from matchctl.fields import (DissipationField, Field, ScalarField,
-                             fd_derivative, per_point, scale_dissipation)
+                             fd_derivative, per_point)
 
 rng = np.random.default_rng(2)
 
@@ -103,19 +103,18 @@ def test_dissipation_field_fallback_jacobians():
     x, v = np.array([0.5, 0.0]), np.array([2.0, -1.0])
     assert np.allclose(c.jac_x(x, v), [[4.0, 0.0], [0.0, 0.0]], atol=5e-9)
     assert np.allclose(c.jac_v(x, v), [[2.0, 0.0], [0.0, 1.0]], atol=5e-9)
+    # the same force as a Field over z = (x, v)
+    z = np.concatenate((x, v))
+    assert np.array_equal(c.value(z), c(x, v))
+    assert np.array_equal(c.derivative(z),
+                          np.hstack((c.jac_x(x, v), c.jac_v(x, v))))
+    with pytest.raises(DomainError):   # a lone stated Jacobian is refused
+        DissipationField(lambda x, v: v, jac_v=lambda x, v: np.eye(2))
 
 
 def test_dissipation_zero_and_linear():
     z = DissipationField.zero(3)
     assert np.array_equal(z(np.ones(3), np.ones(3)), np.zeros(3))
-    R = lambda x: np.array([[1.0 + x[0] ** 2, 0.0], [0.0, 2.0]])
-    Rdx = lambda x: np.array([[[2 * x[0], 0.0], [0.0, 0.0]],
-                              [[0.0, 0.0], [0.0, 0.0]]])
-    lin = DissipationField.linear(R, Rdx)
-    x, v = np.array([0.3, 0.0]), np.array([1.0, -2.0])
-    assert np.allclose(lin(x, v), R(x) @ v)
-    assert np.allclose(lin.jac_v(x, v), R(x))
-    assert np.allclose(lin.jac_x(x, v), [[0.6, 0.0], [0.0, 0.0]])
 
 
 def test_dissipation_rejects_non_finite():
@@ -128,7 +127,7 @@ def test_scale_dissipation():
     base = DissipationField(lambda x, v: 2.0 * v,
                             jac_x=lambda x, v: np.zeros((2, 2)),
                             jac_v=lambda x, v: 2.0 * np.eye(2))
-    half = scale_dissipation(base, 0.5)
+    half = DissipationField.scaled(base, 0.5)
     v = np.array([1.0, -3.0])
     assert np.allclose(half(np.zeros(2), v), v)
     assert np.allclose(half.jac_v(np.zeros(2), v), np.eye(2))

@@ -4,13 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from matchctl import Box, MechanicalSystem, State
-from matchctl.errors import DomainError, SingularMetricError
+from matchctl import Box, MechanicalSystem, State, TargetSystem
+from matchctl.errors import (DomainError, SingularMetricError,
+                             SingularTargetError)
 from matchctl.fields import DissipationField, Field, ScalarField
 from matchctl.geometry import (acceleration, christoffel_first,
                                christoffel_from_derivative, energy, force,
                                kinetic_matrix, quadratic_velocity_force,
-                               rescale_coordinates)
+                               rescale_coordinates, solve)
 from matchctl.matching import assemble_compatibility
 from matchctl.systems import PendulumParams, pendulum_cart, pendulum_fixture
 
@@ -101,6 +102,25 @@ def test_singular_metric_is_reported():
     with pytest.raises(SingularMetricError):
         degenerate.check_metric_spd(np.zeros(3))
     pendulum_cart(0.5, 0.5).check_metric_spd(np.zeros(3))
+
+
+@pytest.mark.parametrize("side, non_finite, singular", [
+    ("plant", DomainError, SingularMetricError),
+    ("target", SingularTargetError, SingularTargetError)])
+def test_each_side_raises_its_own_metric_errors(side, non_finite, singular):
+    def model(g):
+        parts = dict(metric=Field.constant(g),
+                     potential=ScalarField.constant(0.0),
+                     dissipation=DissipationField.zero(2))
+        if side == "plant":
+            return MechanicalSystem(n=2, m=1, **parts)
+        return TargetSystem(**parts)
+
+    s = State(np.zeros(2), np.ones(2))
+    with pytest.raises(non_finite):
+        kinetic_matrix(model([[1.0, np.nan], [np.nan, 1.0]]), s)
+    with pytest.raises(singular):
+        solve(model(np.ones((2, 2))), s, np.ones(2))
 
 
 def test_energy_formula():

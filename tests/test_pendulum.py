@@ -46,6 +46,7 @@ def test_parameter_validation():
 
 
 def test_stated_derivatives_agree_with_finite_differences():
+    local = np.random.default_rng(12)
     for x in PTS[:12]:
         assert np.max(np.abs(SYS.metric.derivative(x)
                              - fd_derivative(SYS.metric.value, x))) <= 2e-7
@@ -55,6 +56,10 @@ def test_stated_derivatives_agree_with_finite_differences():
                              - fd_derivative(RATIO.value, x))) <= 2e-7
         assert np.max(np.abs(TARGET.potential.gradient(x)
                              - fd_derivative(TARGET.potential, x))) <= 5e-6
+        z = np.concatenate((x, local.uniform(-1, 1, 3)))
+        assert np.max(np.abs(
+            TARGET.dissipation.derivative(z)
+            - fd_derivative(TARGET.dissipation.value, z))) <= 2e-7
 
 
 def test_shaped_kernels_with_curved_block_profiles():

@@ -13,14 +13,13 @@ from matchctl.errors import (BlowUpError, DomainError, MatchctlError,
                              NotAnEquilibriumError, ScopeError,
                              SingularTargetError)
 from matchctl.fields import fd_derivative
-from matchctl.geometry import acceleration, christoffel_from_derivative
+from matchctl.geometry import acceleration, christoffel_from_derivative, energy
 from matchctl.matching import actuated_scalar_field, matching_residual
 from matchctl.rk4 import rk4_step
 from matchctl.shapes import constant_profile
 from matchctl.synthesis import (analytic_rest_linearization, germ_check,
                                 linear_gains_from_blocks,
-                                linearize_closed_loop, shaped_energy,
-                                target_acceleration)
+                                linearize_closed_loop, target_acceleration)
 from matchctl.systems import (PendulumParams, bead_on_track, pendulum_cart,
                               pendulum_fixture, vertical_circle_track)
 
@@ -71,7 +70,7 @@ def test_shaped_energy_is_the_quadratic_form_plus_potential():
     s = State(np.array([0.2, -0.1, 0.3]), np.array([0.4, 0.1, -0.2]))
     manual = (0.5 * s.xdot @ TARGET.metric.value(s.x) @ s.xdot
               + float(TARGET.potential(s.x)))
-    assert abs(shaped_energy(TARGET, s) - manual) <= 1e-12
+    assert abs(energy(TARGET, s) - manual) <= 1e-12
 
 
 def test_singular_target_is_reported():
@@ -308,8 +307,8 @@ def test_zero_gain_loop_conserves_shaped_energy():
     sysc, _, targetc = pendulum_fixture(p)
     traj = simulate(sysc, S_NEAR, T=3.0, dt=1e-3,
                     controller=matched_controller(sysc, targetc))
-    e0 = shaped_energy(targetc, traj.state_at(0))
-    drift = max(abs(shaped_energy(targetc, traj.state_at(i)) - e0)
+    e0 = energy(targetc, traj.state_at(0))
+    drift = max(abs(energy(targetc, traj.state_at(i)) - e0)
                 for i in range(0, traj.times.shape[0], 50))
     assert drift <= 1e-9
 
@@ -317,18 +316,18 @@ def test_zero_gain_loop_conserves_shaped_energy():
 def test_trajectory_csv_layout_and_determinism(tmp_path):
     traj = simulate(SYS, S0, T=0.05, dt=1e-2,
                     controller=matched_controller(SYS, TARGET))
-    energy = lambda s: shaped_energy(TARGET, s)
-    text = trajectory_csv(traj, energy)
+    shaped = lambda s: energy(TARGET, s)
+    text = trajectory_csv(traj, shaped)
     lines = text.splitlines()
     assert lines[0] == "t,x0,x1,x2,xd0,xd1,xd2,u0,u1,u2,energy"
     assert len(lines) == 1 + traj.times.shape[0]
     assert text.endswith("\n")
-    assert trajectory_csv(traj, energy) == text
+    assert trajectory_csv(traj, shaped) == text
     last = lines[-1].split(",")
-    assert abs(float(last[-1]) - energy(traj.state_at(-1))) <= 1e-12
+    assert abs(float(last[-1]) - shaped(traj.state_at(-1))) <= 1e-12
 
     out = tmp_path / "run.csv"
-    assert trajectory_csv(traj, energy, path=str(out)) is None
+    assert trajectory_csv(traj, shaped, path=str(out)) is None
     assert out.read_text() == text
 
 
