@@ -37,7 +37,7 @@ from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
                      ScopeError)
 from .fields import DissipationField, Field, ScalarField, fd_derivative
 from .geometry import (MechanicalSystem, State, christoffel_first, force,
-                       kinetic_matrix)
+                       kinetic_matrix, solve)
 from .targets import TargetSystem
 
 KERNEL_TOL_FACTOR = 1e-10
@@ -62,14 +62,16 @@ def transport_residual(sys: MechanicalSystem, ratio: Field, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     m = sys.m
     g = sys.metric_at(x)
-    dg = sys.metric.derivative(x)
     gam = christoffel_first(sys, x)
     rv = ratio.value(x)
     dr = ratio.derivative(x)
     if rv.shape != (m, sys.n):
         raise DomainError(f"ratio field has shape {rv.shape}, expected {(m, sys.n)}")
-    # d_k s_ab = dg[a,i,k] r[b,i] + g[a,i] dr[b,i,k]
-    ds = (np.einsum("aik,bi->kab", dg[:m], rv)
+    # the one metric derivative, back from the brackets:
+    # dg[k, a, i] = d g_ai / d x_k = G[k,a,i] + G[k,i,a]
+    dg = gam[:, :m, :] + np.transpose(gam[:, :, :m], (0, 2, 1))
+    # d_k s_ab = dg[k,a,i] r[b,i] + g[a,i] dr[b,i,k]
+    ds = (np.einsum("kai,bi->kab", dg, rv)
           + np.einsum("ai,bik->kab", g[:m], dr))
     contraction = np.einsum("kai,bi->kab", gam[:, :m, :], rv)
     return ds - contraction - np.transpose(contraction, (0, 2, 1))
@@ -82,15 +84,17 @@ def matching_residual(sys: MechanicalSystem, ratio: Field | None,
     Zero exactly when the shaped system reproduces the plant's unactuated
     dynamics with no control.  `ratio` defaults to the rows of g G^{-1};
     passing a candidate field checks that field's consistency instead.
-    Each side's force, and g, come from the state's memo; with a given
-    ratio neither metric value is evaluated.
+    Each side's force, and g and G, come from the state's memo: with the
+    default ratio the target's summed force is taken through one solve
+    against G, as control_law does, so the result is the law's
+    unactuated rows; with a given ratio neither metric value is
+    evaluated.
     """
     m = sys.m
     if ratio is None:
-        rmat = (kinetic_matrix(sys, s) @ target.metric_inv(s.x))[:m, :]
-    else:
-        rmat = ratio.value(s.x)
-    return force(sys, s)[:m] - rmat @ force(target, s)
+        return (force(sys, s)[:m]
+                - kinetic_matrix(sys, s)[:m] @ solve(target, s, force(target, s)))
+    return force(sys, s)[:m] - ratio.value(s.x) @ force(target, s)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ stage evaluates the plant once for the law and the acceleration together.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, MatchctlError,
-                     NotAnEquilibriumError, ScopeError)
+                     NotAnEquilibriumError, ScopeError, SingularTargetError)
 from .fields import FD_STEP, fd_derivative
 # christoffel_first is imported by name so perfbench/spans.py can patch it
 from .geometry import (MechanicalSystem, State, acceleration,  # noqa: F401
@@ -128,6 +129,13 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
     dynamics; its recorded controls are zero and passing a controller
     with one is an error.
 
+    A stage costs one State, whose construction is the stage's one
+    finiteness check of (x, xdot), the controller, and one solve per side
+    against its kinetic matrix (geometry.solve, on Python floats for
+    n = 3); the forces contract the metric derivative directly
+    (geometry.force).  After each step one reduction, max |z|, decides
+    blow-up.
+
     Raises BlowUpError when any state component leaves [-blowup, blowup]
     or a stage inside a step reaches non-finite entries; the exception
     carries .t and .state for the last good node.  A DomainError raised
@@ -183,7 +191,8 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
         k1, controls[i] = evaluate(z)
         try:
             z = rk4_step(rhs, z, dt, k1)
-            bad = not np.isfinite(z).all() or np.abs(z).max() > blowup
+            top = np.abs(z).max()      # NaN when an entry is NaN
+            bad = not math.isfinite(top) or top > blowup
         except _NonFiniteStage:
             bad = True
         if bad:
@@ -406,7 +415,12 @@ def linear_gains_from_blocks(sys: MechanicalSystem, x_star,
     the shaped velocity-gain matrix.  Returns (v, a, b)."""
     x_star = np.asarray(x_star, dtype=float)
     n = x_star.shape[0]
-    w = sys.metric_at(x_star) @ np.linalg.inv(np.asarray(metric0, dtype=float))
+    try:   # w = g metric0^-1, solved as metric0^T w^T = g^T
+        w = np.linalg.solve(np.asarray(metric0, dtype=float).T,
+                            sys.metric_at(x_star).T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularTargetError(
+            f"target kinetic matrix metric0 is singular at x={x_star}") from exc
     hess = fd_derivative(sys.potential.gradient, x_star)
     hess = 0.5 * (hess + hess.T)
     v = sys.potential.gradient(x_star)

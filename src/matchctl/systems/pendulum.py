@@ -216,19 +216,23 @@ def pendulum_fixture(p: PendulumParams
         wu, wv = p.well.gradient(y).tolist()
         return np.array((-slope * c * wu - s / t0, wu, wv))
 
-    def drag_direction(x):
-        return np.array((-slope * math.cos(x[0]), 1.0, 1.0))
-
+    # drag -t0 gain(x) w (w . v) along w = (-slope cos x0, 1, 1); the force
+    # and its velocity Jacobian on Python floats, as the kernels above
     def tdis_val(x, v):
-        wvec = drag_direction(x)
-        return -t0 * p.gain(x) * wvec * (wvec @ v)
+        w0 = -slope * math.cos(x[0])
+        v0, v1, v2 = v.tolist()
+        k = -t0 * p.gain(x)
+        proj = w0 * v0 + v1 + v2
+        return np.array((k * w0 * proj, k * proj, k * proj))
 
     def tdis_jac_v(x, v):
-        wvec = drag_direction(x)
-        return -t0 * p.gain(x) * np.outer(wvec, wvec)
+        w0 = -slope * math.cos(x[0])
+        k = -t0 * p.gain(x)
+        kw = k * w0
+        return np.array(((k * (w0 * w0), kw, kw), (kw, k, k), (kw, k, k)))
 
     def tdis_jac_x(x, v):
-        wvec = drag_direction(x)
+        wvec = np.array((-slope * math.cos(x[0]), 1.0, 1.0))
         dw0 = np.array([slope * np.sin(x[0]), 0.0, 0.0])  # d wvec / d x0
         gr = p.gain.gradient(x)
         proj = wvec @ v

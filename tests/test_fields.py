@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from matchctl.errors import DomainError
-from matchctl.fields import (DissipationField, Field, ScalarField,
+from matchctl.fields import (DissipationField, Field, ScalarField, all_finite,
                              fd_derivative, per_point)
 
 rng = np.random.default_rng(2)
@@ -169,3 +169,15 @@ def test_per_point_stacks_a_one_point_kernel():
     assert np.array_equal(f.value(pts[0, 0]), kernel(pts[0, 0]))
     with pytest.raises(ValueError):
         Field(kernel).value(pts[0])
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 3, 3), (4, 4, 3),
+                                   (4, 4, 4), (6, 6, 6)])
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_all_finite_agrees_with_numpy(shape, bad):
+    a = np.full(shape, 1e308)        # huge but finite: no overflow
+    a.flat[::2] = -np.finfo(float).max
+    if bad is not None:
+        a.flat[-1] = bad
+    assert all_finite(a) == bool(np.isfinite(a).all()) == (bad is None)
+    assert all_finite(a[..., ::-1]) == (bad is None)   # a strided view

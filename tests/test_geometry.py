@@ -1,10 +1,12 @@
 """State, box, and equation-of-motion plumbing."""
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from matchctl import Box, MechanicalSystem, State, TargetSystem
+from matchctl.config import load_config
 from matchctl.errors import (DomainError, SingularMetricError,
                              SingularTargetError)
 from matchctl.fields import DissipationField, Field, ScalarField
@@ -228,3 +230,137 @@ def test_replace_starts_with_an_empty_memo():
     assert moved.memo(PLANT) == {} and moved.memo(TARGET) == {}
     assert not np.array_equal(force(PLANT, moved), force(PLANT, s))
     assert dataclasses.replace(s).memo(TARGET) == {}
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIG_NAMES = ["pendulum", "pendulum-upright", "seesaw", "rollercoaster",
+                "double-pendulum"]
+
+
+def _shipped_models():
+    """(label, model, box) for every shipped plant and closed-form target."""
+    out = []
+    for name in CONFIG_NAMES:
+        fix = load_config(os.path.join(CONFIGS, name + ".yaml")).fixture
+        out.append((name + ".plant", fix.system, fix.system.domain))
+        if fix.target is not None:
+            out.append((name + ".target", fix.target, fix.system.domain))
+    return out
+
+
+SHIPPED = _shipped_models()
+
+
+@pytest.mark.parametrize("label, model, box", SHIPPED,
+                         ids=[label for label, _, _ in SHIPPED])
+def test_force_without_brackets_matches_the_bracket_force(label, model, box):
+    local = np.random.default_rng(31)
+    for x in box.sample(local, 20):
+        v = local.normal(size=x.size)
+        parts = (quadratic_velocity_force(christoffel_first(model, x), v),
+                 model.dissipation(x, v), model.potential.gradient(x))
+        want = parts[0] + parts[1] + parts[2]
+        scale = max(np.max(np.abs(p)) for p in parts)
+        got = force(model, State(x, v))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_force_keeps_the_metric_derivative_check():
+    bad = MechanicalSystem(
+        n=2, m=1, metric=Field(lambda x: np.eye(2),
+                               lambda x: np.full((2, 2, 2), np.inf)),
+        potential=ScalarField.constant(0.0),
+        dissipation=DissipationField.zero(2))
+    with pytest.raises(DomainError, match="metric derivative has non-finite"):
+        force(bad, State(np.zeros(2), np.ones(2)))
+
+
+def _constant_model(side, g):
+    parts = dict(metric=Field.constant(np.asarray(g, dtype=float)),
+                 potential=ScalarField.constant(0.0),
+                 dissipation=DissipationField.zero(len(g)))
+    if side == "plant":
+        return MechanicalSystem(n=len(g), m=1, **parts)
+    return TargetSystem(**parts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["spd", "indefinite"])
+def test_small_solve_matches_numpy(n, kind):
+    local = np.random.default_rng(100 + n)
+    for _ in range(50):
+        q, _ = np.linalg.qr(local.normal(size=(n, n)))
+        lam = local.uniform(0.5, 2.0, n)
+        if kind == "indefinite":
+            lam[::2] *= -1.0
+        g = (q * lam) @ q.T
+        g = 0.5 * (g + g.T)
+        rhs = local.normal(size=n)
+        s = State(local.normal(size=n), local.normal(size=n))
+        got = solve(_constant_model("target", g), s, rhs)
+        want = np.linalg.solve(g, rhs)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+SINGULAR = [
+    [[1, 2], [2, 4]],
+    [[0, 0], [0, 3]],
+    [[2, 4, 6], [1, 2, 3], [0, 0, 1]],
+    [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+    [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("side, error", [("plant", SingularMetricError),
+                                         ("target", SingularTargetError)])
+@pytest.mark.parametrize("g", SINGULAR, ids=[str(len(g)) + "x" + str(i)
+                                             for i, g in enumerate(SINGULAR)])
+def test_exactly_singular_kinetic_matrices_raise_each_sides_error(side, error, g):
+    with pytest.raises(np.linalg.LinAlgError):   # LAPACK's verdict too
+        np.linalg.solve(np.array(g, dtype=float), np.ones(len(g)))
+    n = len(g)
+    s = State(np.zeros(n), np.ones(n))
+    with pytest.raises(error, match="kinetic matrix is singular"):
+        solve(_constant_model(side, g), s, np.ones(n))
+
+
+@pytest.mark.parametrize("g, rhs, want", [
+    ([[0, 1], [1, 0]], [2.0, 3.0], [3.0, 2.0]),
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [1.0, 2.0, 3.0], [2.0, 3.0, 1.0]),
+    ([[0, 2, 0], [0, 0, 4], [1, 0, 0]], [2.0, 8.0, 5.0], [5.0, 1.0, 2.0]),
+])
+def test_small_solve_swaps_rows_to_a_nonzero_pivot(g, rhs, want):
+    n = len(g)
+    for side in ("plant", "target"):
+        got = solve(_constant_model(side, g), State(np.zeros(n), np.ones(n)),
+                    np.array(rhs))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x, xdot, message", [
+    ([np.nan, 0.0], [0.0, 0.0], "non-finite"),
+    ([0.0, np.inf], [0.0, 0.0], "non-finite"),
+    ([-np.inf, 0.0], [0.0, 0.0], "non-finite"),
+    ([0.0, 0.0], [np.nan, 0.0], "non-finite"),
+    ([0.0, 0.0], [0.0, np.inf], "non-finite"),
+    ([0.0, 0.0], [-np.inf, 1e308], "non-finite"),
+    ([np.inf, 0.0], [np.nan, 0.0], "non-finite"),
+    ([0.1, 0.2], [0.0], "matching 1-d"),
+    ([[0.1, 0.2]], [[0.0, 0.1]], "matching 1-d"),
+    ([0.1], [0.0], "at least 2"),
+])
+def test_state_rejects_non_finite_and_misshapen_input(x, xdot, message):
+    with pytest.raises(DomainError, match=message):
+        State(x, xdot)
+
+
+def test_state_accepts_huge_finite_entries():
+    big = 1e308
+    for x, xdot in (([big, big], [big, -big]), ([-big, 0.0], [0.0, 0.0]),
+                    ([0.0, 0.0], [big, big]),
+                    ([np.finfo(float).max] * 3, [-np.finfo(float).max] * 3)):
+        s = State(x, xdot)
+        assert np.array_equal(s.x, x) and np.array_equal(s.xdot, xdot)

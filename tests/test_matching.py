@@ -1,14 +1,15 @@
 """Compatibility operator, residuals, rank verdicts, and the scaling family."""
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from matchctl import (State, assemble_compatibility, matching_residual,
-                      scaling_solution, transport_residual)
+from matchctl import (State, assemble_compatibility, control_law,
+                      matching_residual, scaling_solution, transport_residual)
 from matchctl.errors import (DomainError, IndefiniteTargetError, ScopeError)
 from matchctl.fields import DissipationField, Field, ScalarField
-from matchctl.geometry import Box, MechanicalSystem, christoffel_first
+from matchctl.geometry import Box, MechanicalSystem, christoffel_first, force
 from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, commutator,
                                involutive_closure, kernel_direction_fields,
@@ -144,6 +145,77 @@ def test_matching_residual_derives_ratio_when_omitted():
         res = matching_residual(sys, None, target, State(x, v))
         assert res.shape == (1,)
         assert np.max(np.abs(res)) <= 1e-9
+
+
+class _Counted(Field):
+    """A field that counts its value and derivative evaluations."""
+
+    def __init__(self, inner):
+        super().__init__(inner.value, inner.derivative)
+        self.values = self.derivatives = 0
+
+    def value(self, x):
+        self.values += 1
+        return super().value(x)
+
+    def derivative(self, x):
+        self.derivatives += 1
+        return super().derivative(x)
+
+
+def _bracket_transport_residual(sys, ratio, x):
+    """transport_residual with the metric derivative evaluated directly."""
+    m = sys.m
+    g, dg = sys.metric_at(x), sys.metric.derivative(x)
+    gam = christoffel_first(sys, x)
+    rv, dr = ratio.value(x), ratio.derivative(x)
+    ds = (np.einsum("aik,bi->kab", dg[:m], rv)
+          + np.einsum("ai,bik->kab", g[:m], dr))
+    contraction = np.einsum("kai,bi->kab", gam[:, :m, :], rv)
+    return ds - contraction - np.transpose(contraction, (0, 2, 1))
+
+
+def test_transport_residual_evaluates_the_metric_derivative_once():
+    sys, ratio, _ = PEND
+    counted = dataclasses.replace(sys, metric=_Counted(sys.metric))
+    transport_residual(counted, ratio, sys.domain.center)
+    assert counted.metric.derivatives == 1
+
+
+@pytest.mark.parametrize("name", ["pendulum", "seesaw", "rollercoaster",
+                                  "double-pendulum"])
+def test_transport_residual_matches_the_direct_derivative_formula(name):
+    fix = load_config(os.path.join(CONFIGS, name + ".yaml")).fixture
+    sys, ratio = fix.system, fix.ratio
+    # the shipped ratio (residual at roundoff) and a skewed one (O(1))
+    skewed = Field(lambda x: 1.5 * ratio.value(x) + 0.1,
+                   lambda x: 1.5 * ratio.derivative(x))
+    local = np.random.default_rng(23)
+    for x in sys.domain.sample(local, 20):
+        for r in (ratio, skewed):
+            want = _bracket_transport_residual(sys, r, x)
+            got = transport_residual(sys, r, x)
+            assert got.shape == want.shape
+            assert (np.max(np.abs(got - want))
+                    <= 1e-13 * max(1.0, np.max(np.abs(want))))
+
+
+def test_matching_residual_without_ratio_is_the_laws_unactuated_rows():
+    sys, _, target = PEND
+    counted = dataclasses.replace(target, metric=_Counted(target.metric))
+    local = np.random.default_rng(29)
+    for x in sys.domain.sample(local, 20):
+        s = State(x, local.uniform(-1, 1, 3))
+        before = counted.metric.values
+        res = matching_residual(sys, None, counted, s)
+        assert counted.metric.values - before == 1
+        # the law at the same state reads G from the state's memo
+        law = control_law(sys, counted, s)
+        assert counted.metric.values - before == 1
+        scale = np.max(np.abs(force(sys, s)))
+        assert np.max(np.abs(res - law[:sys.m])) <= 1e-14 * scale
+        fresh = control_law(sys, target, State(x, s.xdot))
+        assert np.max(np.abs(res - fresh[:sys.m])) <= 1e-14 * scale
 
 
 def test_overlap_matrix_is_the_unactuated_row_contraction():

@@ -82,6 +82,29 @@ def test_shaped_kernels_with_curved_block_profiles():
         assert np.max(np.abs(matching_residual(sys, ratio, target, s))) <= 1e-9
 
 
+@pytest.mark.parametrize("gain", [
+    None,
+    cosine_profile(0.4, [0.5, -0.3, 0.8], 0.2, 1.0),
+    quadratic_profile(np.diag([0.3, 0.2, 0.1]), [0.1, -0.2, 0.05], 1.5),
+], ids=["constant", "cosine", "quadratic"])
+def test_float_drag_kernels_match_the_array_formula(gain):
+    # the drag -t0 gain(x) w (w . v), w = (-slope cos x0, 1, 1), and its
+    # velocity Jacobian as array expressions, against the float kernels
+    p = PendulumParams(gain=gain).resolved()
+    sys, _, target = pendulum_fixture(p)
+    t0, slope = p.tilt_ratio, p.sway_ratio / p.tilt_ratio
+    local = np.random.default_rng(41)
+    for x in sys.domain.sample(local, 20):
+        v = local.uniform(-1, 1, 3)
+        w = np.array((-slope * np.cos(x[0]), 1.0, 1.0))
+        want = -t0 * p.gain(x) * w * (w @ v)
+        got = target.dissipation(x, v)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        want_jv = -t0 * p.gain(x) * np.outer(w, w)
+        got_jv = target.dissipation.jac_v(x, v)
+        assert np.max(np.abs(got_jv - want_jv)) <= 1e-15 * np.max(np.abs(want_jv))
+
+
 def test_fixture_solves_both_identity_groups():
     for sys, ratio, target in ((SYS, RATIO, TARGET), (SYS_S, RATIO_S, TARGET_S)):
         tr = max(np.max(np.abs(transport_residual(sys, ratio, x))) for x in PTS)

@@ -375,6 +375,17 @@ def test_germ_of_the_law_matches_block_gains():
     assert rep.law_position.shape == (2, 2)
 
 
+def test_singular_target_block_is_a_singular_target_error():
+    hess = np.eye(3)
+    with pytest.raises(SingularTargetError):
+        linear_gains_from_blocks(SYS, np.zeros(3), np.zeros((3, 3)), hess,
+                                 np.zeros((3, 3)))
+    with pytest.raises(SingularTargetError):
+        linear_gains_from_blocks(SYS, np.zeros(3), [[1, 2, 0], [2, 4, 0],
+                                                    [0, 0, 1]], hess,
+                                 np.zeros((3, 3)))
+
+
 def test_germ_scope_and_rest_drag_guards():
     zeros3 = (np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3)))
     with pytest.raises(ScopeError):
