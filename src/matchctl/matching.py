@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
-                     ScopeError)
+                     ScopeError, SingularMetricError)
 from .fields import DissipationField, Field, ScalarField, fd_derivative
 from .geometry import (MechanicalSystem, State, christoffel_first, force,
                        kinetic_matrix, solve)
@@ -135,12 +135,18 @@ def lambda_coefficients(g: np.ndarray, gam: np.ndarray, m: int):
     """(D, B) of d_k s_p = D[k, p] . s + B[k, p] . free at one point.
 
     From the metric g and its first-kind brackets gam alone; pairs
-    p = (a <= b), free entries j = c * (n - m) + (rho - m).
+    p = (a <= b), free entries j = c * (n - m) + (rho - m).  A singular
+    unactuated block g[:m, :m] is a SingularMetricError.
     """
     n = g.shape[0]
     basis = pair_basis(m)
     pp = basis.weights.size
-    coupled = gam[:, :m, :m] @ np.linalg.inv(g[:m, :m])      # G[k,a,b] h[b,d]
+    try:
+        h = np.linalg.inv(g[:m, :m])
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError("unactuated block of the metric is "
+                                  "singular") from exc
+    coupled = gam[:, :m, :m] @ h                             # G[k,a,b] h[b,d]
     reduced = gam[:, :m, m:] - coupled @ g[:m, m:]           # [k, a, rho]
     # entry (a_p, b_p) of C S + S C^T at S = E_q (C = coupled), and of
     # R F^T + F R^T at each unit free matrix F (R = reduced)

@@ -3,31 +3,51 @@
 Fixtures and the CLI config select free functions (kinetic-block entries,
 potential wells, damping gains) from this closed family instead of parsing
 arbitrary expressions.
+
+Each kind states its value and gradient once, as a jet on Python floats:
+jet(y) takes a point as a tuple of d floats and returns (value, gradient),
+the gradient a tuple of d floats.  Per-point kernels such as the pendulum
+target read the jet directly; __call__ and gradient wrap it for array
+points.  The Hessian is a separate array kernel.
 """
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 
 class Profile:
-    """Scalar function on R^d with gradient and Hessian."""
+    """Scalar function on R^d: a float jet and an array Hessian.
 
-    def __init__(self, value: Callable, gradient: Callable, hessian: Callable,
-                 dim: int):
-        self._value = value
-        self._gradient = gradient
+    jet(y) -> (value, gradient) on a tuple y of d Python floats; it trusts
+    the length of y (a short tuple would be read as a shorter point), so a
+    caller that builds y itself checks dim once up front.  __call__ and
+    gradient take any array-like point, check that it has d entries and
+    read the jet; hessian(y) is the (d, d) array of second derivatives.
+    """
+
+    def __init__(self, jet: Callable, hessian: Callable, dim: int):
+        self.jet = jet
         self._hessian = hessian
         self.dim = dim
 
+    def _point(self, y) -> tuple:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.dim,):
+            raise DomainError(f"profile on R^{self.dim} evaluated at a point "
+                              f"of shape {y.shape}")
+        return tuple(y.tolist())
+
     def __call__(self, y) -> float:
-        return float(self._value(np.asarray(y, dtype=float)))
+        return self.jet(self._point(y))[0]
 
     def gradient(self, y) -> np.ndarray:
-        return np.asarray(self._gradient(np.asarray(y, dtype=float)), dtype=float)
+        return np.array(self.jet(self._point(y))[1])
 
     def hessian(self, y) -> np.ndarray:
         return np.asarray(self._hessian(np.asarray(y, dtype=float)), dtype=float)
@@ -35,8 +55,8 @@ class Profile:
 
 def constant_profile(c: float, dim: int = 2) -> Profile:
     c = float(c)
-    return Profile(lambda y: c, lambda y: np.zeros(dim),
-                   lambda y: np.zeros((dim, dim)), dim)
+    zeros = (0.0,) * dim
+    return Profile(lambda y: (c, zeros), lambda y: np.zeros((dim, dim)), dim)
 
 
 def quadratic_profile(quad, lin=None, offset: float = 0.0) -> Profile:
@@ -49,27 +69,46 @@ def quadratic_profile(quad, lin=None, offset: float = 0.0) -> Profile:
     if b.shape != (d,):
         raise ConfigError(f"quadratic profile needs {d} linear coefficients")
     c = float(offset)
-    return Profile(lambda y: y @ Q @ y + b @ y + c,
-                   lambda y: 2.0 * (Q @ y) + b,
-                   lambda y: 2.0 * Q, d)
+
+    if d == 2:
+        # unrolled: the shipped wells are planar, and the loop form below
+        # costs several times as much per point
+        (q00, q01), (_, q11) = Q.tolist()
+        b0, b1 = b.tolist()
+
+        def jet(y):
+            y0, y1 = y
+            h0 = q00 * y0 + q01 * y1
+            h1 = q01 * y0 + q11 * y1
+            return (y0 * h0 + y1 * h1 + (b0 * y0 + b1 * y1) + c,
+                    (2.0 * h0 + b0, 2.0 * h1 + b1))
+    else:
+        rows, bs = Q.tolist(), b.tolist()
+
+        def jet(y):
+            h = [sum(map(mul, row, y)) for row in rows]       # Q y
+            return (sum(map(mul, y, h)) + sum(map(mul, bs, y)) + c,
+                    tuple(2.0 * hi + bi for hi, bi in zip(h, bs)))
+
+    return Profile(jet, lambda y: 2.0 * Q, d)
 
 
 def cosine_profile(amplitude: float, freq, phase: float = 0.0,
                    offset: float = 0.0) -> Profile:
     """amplitude * cos(freq . y + phase) + offset."""
-    k = np.atleast_1d(np.asarray(freq, dtype=float))
+    k = np.asarray(freq, dtype=float).ravel()
+    ks = k.tolist()
     amp, ph, c = float(amplitude), float(phase), float(offset)
 
-    def val(y):
-        return amp * np.cos(k @ y + ph) + c
-
-    def grad(y):
-        return -amp * np.sin(k @ y + ph) * k
+    def jet(y):
+        arg = sum(map(mul, ks, y)) + ph
+        slope = -amp * math.sin(arg)
+        return amp * math.cos(arg) + c, tuple(slope * ki for ki in ks)
 
     def hess(y):
         return -amp * np.cos(k @ y + ph) * np.outer(k, k)
 
-    return Profile(val, grad, hess, k.size)
+    return Profile(jet, hess, k.size)
 
 
 _BUILDERS = {

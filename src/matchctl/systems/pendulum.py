@@ -103,6 +103,9 @@ class PendulumParams:
     domain: Box | None = None
 
     def resolved(self) -> "PendulumParams":
+        """These parameters with unset entries filled in; DomainError for a
+        zero tilt_ratio or a profile of the wrong dimension (2 for the
+        blocks and the well, 3 for the gain)."""
         if self.tilt_ratio == 0.0:
             raise DomainError("tilt_ratio must be nonzero")
         fill = {}
@@ -120,7 +123,14 @@ class PendulumParams:
             fill["gain"] = constant_profile(1.0, dim=3)
         if self.domain is None:
             fill["domain"] = Box(lo=(-0.4, -1.0, -1.0), hi=(0.4, 1.0, 1.0))
-        return replace(self, **fill) if fill else self
+        res = replace(self, **fill) if fill else self
+        for name, dim in (("block22", 2), ("block23", 2), ("block33", 2),
+                          ("well", 2), ("gain", 3)):
+            got = getattr(res, name).dim
+            if got != dim:
+                raise DomainError(f"{name} must be a profile on R^{dim}, "
+                                  f"got one on R^{got}")
+        return res
 
     @classmethod
     def stable_reference(cls) -> "PendulumParams":
@@ -137,17 +147,6 @@ class PendulumParams:
                    gain=constant_profile(1.0, dim=3))
 
 
-def _chart(slope: float, x):
-    """cos x0, sin x0 and the point (u, v) = (x1 - slope sin x0, x2) of the
-    invariant chart of the ratio flow.
-
-    The chart's x-gradients are du = (-slope cos x0, 1, 0) and
-    dv = (0, 0, 1); the target kernels apply them entry by entry.
-    """
-    c, s = math.cos(x[0]), math.sin(x[0])
-    return c, s, np.array([x[1] - slope * s, x[2]])
-
-
 def pendulum_fixture(p: PendulumParams
                      ) -> tuple[MechanicalSystem, Field, TargetSystem]:
     """Closed-form matching solution for the tilting-body plant.
@@ -157,6 +156,16 @@ def pendulum_fixture(p: PendulumParams
     unactuated-row identity g_0i = r^j G_ji; shaped potential
     (1/tilt_ratio) cos x0 + well; dissipation a rank-one positive form
     annihilated by the ratio row.
+
+    The target's kernels take one point and share one evaluation of it:
+    cos x0, sin x0, the chart point (u, v) = (x1 - slope sin x0, x2) of the
+    ratio flow, the jets of the three blocks and the well at (u, v) and the
+    drag gain at x, all on Python floats.  The last point's evaluation is
+    kept, keyed on x.tobytes(): the bytes, because -0.0 == 0.0 while
+    sin(-0.0) is -0.0, and not id(x), because an array can be changed in
+    place and ids are reused.  The target metric, potential and drag at
+    one state, as a closed-loop stage asks for them, thus evaluate the
+    chart and the profiles once.
     """
     p = p.resolved()
     a, t0, m0 = p.a, p.tilt_ratio, p.sway_ratio
@@ -179,22 +188,42 @@ def pendulum_fixture(p: PendulumParams
 
     ratio = Field(rval, rder)
 
+    block22, block23, block33 = p.block22.jet, p.block23.jet, p.block33.jet
+    well, gain = p.well.jet, p.gain.jet
+    last = [None]            # (key, evaluation) of the last point
+
+    def at(x):
+        """(c, s, b22, b23, b33, well, k) at x: each b and the well a jet
+        (h, (h_u, h_v)) on the chart, k = -t0 gain(x)."""
+        key = x.tobytes()
+        hit = last[0]
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        pt = tuple(x.tolist())
+        x0, x1, x2 = pt
+        c, s = math.cos(x0), math.sin(x0)
+        y = (x1 - slope * s, x2)
+        out = (c, s, block22(y), block23(y), block33(y), well(y),
+               -t0 * gain(pt)[0])
+        last[0] = (key, out)
+        return out
+
+    # outputs are built flat and reshaped: np.array of a flat tuple costs
+    # about half as much as of a nested one
     def tmetric_val(x):
-        c, s, y = _chart(slope, x)
-        f22, f23, f33 = p.block22(y), p.block23(y), p.block33(y)
+        c, s, (f22, _), (f23, _), (f33, _), _, _ = at(x)
         g01 = -ca * c - slope * c * f22
         g02 = -ca * s - slope * c * f23
         g00 = 1.0 / t0 + ca * slope * c * c + slope * slope * c * c * f22
-        return np.array(((g00, g01, g02), (g01, f22, f23), (g02, f23, f33)))
+        return np.array((g00, g01, g02, g01, f22, f23,
+                         g02, f23, f33)).reshape(3, 3)
 
     def tmetric_der(x):
         # d[i, j] is the x-gradient of g_ij; a chart entry with partials
-        # (h_u, h_v) has gradient (-slope c h_u, h_u, h_v)
-        c, s, y = _chart(slope, x)
-        f22, f23 = p.block22(y), p.block23(y)
-        g22u, g22v = p.block22.gradient(y).tolist()
-        g23u, g23v = p.block23.gradient(y).tolist()
-        g33u, g33v = p.block33.gradient(y).tolist()
+        # (h_u, h_v) has gradient (-slope c h_u, h_u, h_v), since
+        # du = (-slope cos x0, 1, 0) and dv = (0, 0, 1)
+        (c, s, (f22, (g22u, g22v)), (f23, (g23u, g23v)), (_, (g33u, g33v)),
+         _, _) = at(x)
         sc = -slope * c
         d22 = (g22u * sc, g22u, g22v)
         d23 = (g23u * sc, g23u, g23v)
@@ -205,29 +234,28 @@ def pendulum_fixture(p: PendulumParams
         d00 = (k00 * d22[0] + (-2.0 * ca * slope * c * s
                                - 2.0 * slope * slope * c * s * f22),
                k00 * g22u, k00 * g22v)
-        return np.array(((d00, d01, d02), (d01, d22, d23), (d02, d23, d33)))
+        return np.array(d00 + d01 + d02 + d01 + d22 + d23
+                        + d02 + d23 + d33).reshape(3, 3, 3)
 
     def tpot_val(x):
-        c, _, y = _chart(slope, x)
-        return c / t0 + p.well(y)
+        c, _, _, _, _, (w, _), _ = at(x)
+        return c / t0 + w
 
     def tpot_grad(x):
-        c, s, y = _chart(slope, x)
-        wu, wv = p.well.gradient(y).tolist()
+        c, s, _, _, _, (_, (wu, wv)), _ = at(x)
         return np.array((-slope * c * wu - s / t0, wu, wv))
 
-    # drag -t0 gain(x) w (w . v) along w = (-slope cos x0, 1, 1); the force
-    # and its velocity Jacobian on Python floats, as the kernels above
+    # drag -t0 gain(x) w (w . v) along w = (-slope cos x0, 1, 1)
     def tdis_val(x, v):
-        w0 = -slope * math.cos(x[0])
+        c, _, _, _, _, _, k = at(x)
+        w0 = -slope * c
         v0, v1, v2 = v.tolist()
-        k = -t0 * p.gain(x)
         proj = w0 * v0 + v1 + v2
         return np.array((k * w0 * proj, k * proj, k * proj))
 
     def tdis_jac_v(x, v):
-        w0 = -slope * math.cos(x[0])
-        k = -t0 * p.gain(x)
+        c, _, _, _, _, _, k = at(x)
+        w0 = -slope * c
         kw = k * w0
         return np.array(((k * (w0 * w0), kw, kw), (kw, k, k), (kw, k, k)))
 

@@ -7,7 +7,8 @@ import pytest
 
 from matchctl import (State, assemble_compatibility, control_law,
                       matching_residual, scaling_solution, transport_residual)
-from matchctl.errors import (DomainError, IndefiniteTargetError, ScopeError)
+from matchctl.errors import (DomainError, IndefiniteTargetError, ScopeError,
+                             SingularMetricError)
 from matchctl.fields import DissipationField, Field, ScalarField
 from matchctl.geometry import Box, MechanicalSystem, christoffel_first, force
 from matchctl.matching import (actuated_block_matrix_field,
@@ -110,6 +111,15 @@ def test_constant_metric_operator_vanishes():
     for x in sys.domain.sample(rng, 5):
         comp = assemble_compatibility(sys, x)
         assert comp.rank == 0
+
+
+def test_singular_unactuated_block_is_a_singular_metric_error():
+    sys = MechanicalSystem(
+        n=2, m=1, metric=Field.constant([[0.0, 1.0], [1.0, 0.0]]),
+        potential=ScalarField.constant(0.0),
+        dissipation=DissipationField.zero(2))
+    with pytest.raises(SingularMetricError, match="unactuated block"):
+        assemble_compatibility(sys, np.zeros(2))
 
 
 def test_transport_residual_fixture_and_corruption():

@@ -1,4 +1,6 @@
 """Tilting-body fixture: closed-form solution set and stability audit."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from matchctl.errors import DomainError
 from matchctl.fields import Field, fd_derivative
 from matchctl.matching import (overlap_matrix, recover_ratio,
                                solvability_residual)
-from matchctl.shapes import cosine_profile, quadratic_profile
+from matchctl.shapes import constant_profile, cosine_profile, quadratic_profile
 from matchctl.systems import (PendulumParams, pendulum_cart, pendulum_fixture,
                               pendulum_ratio_family, upright_stability_check)
 
@@ -62,15 +64,17 @@ def test_stated_derivatives_agree_with_finite_differences():
             - fd_derivative(TARGET.dissipation.value, z))) <= 2e-7
 
 
+# non-constant blocks and well exercise the chart-gradient terms of the
+# shaped metric derivative and the shaped potential gradient
+CURVED = PendulumParams(
+    block22=quadratic_profile([[0.3, 0.1], [0.1, 0.2]], [0.1, -0.2], 2.0),
+    block23=cosine_profile(0.2, [1.0, 0.5], 0.3),
+    block33=quadratic_profile([[0.1, 0.0], [0.0, 0.4]], [0.0, 0.1], 1.0),
+    well=cosine_profile(0.5, [0.7, -1.2], 0.1, 1.0))
+
+
 def test_shaped_kernels_with_curved_block_profiles():
-    # non-constant blocks and well exercise the chart-gradient terms of the
-    # shaped metric derivative and the shaped potential gradient
-    p = PendulumParams(
-        block22=quadratic_profile([[0.3, 0.1], [0.1, 0.2]], [0.1, -0.2], 2.0),
-        block23=cosine_profile(0.2, [1.0, 0.5], 0.3),
-        block33=quadratic_profile([[0.1, 0.0], [0.0, 0.4]], [0.0, 0.1], 1.0),
-        well=cosine_profile(0.5, [0.7, -1.2], 0.1, 1.0))
-    sys, ratio, target = pendulum_fixture(p)
+    sys, ratio, target = pendulum_fixture(CURVED)
     local = np.random.default_rng(11)
     for x in sys.domain.sample(local, 20):
         assert np.max(np.abs(target.metric.derivative(x)
@@ -103,6 +107,128 @@ def test_float_drag_kernels_match_the_array_formula(gain):
         want_jv = -t0 * p.gain(x) * np.outer(w, w)
         got_jv = target.dissipation.jac_v(x, v)
         assert np.max(np.abs(got_jv - want_jv)) <= 1e-15 * np.max(np.abs(want_jv))
+
+
+def _reference_kernels(p):
+    """The target metric, its derivative and the potential gradient as
+    array formulas: each recomputes the chart and reads the profiles
+    through __call__ and gradient on an array point."""
+    p = p.resolved()
+    a, t0, m0 = p.a, p.tilt_ratio, p.sway_ratio
+    slope, ca = m0 / t0, a / t0
+
+    def chart(x):
+        c, s = math.cos(x[0]), math.sin(x[0])
+        return c, s, np.array([x[1] - slope * s, x[2]])
+
+    def metric(x):
+        c, s, y = chart(x)
+        f22, f23, f33 = p.block22(y), p.block23(y), p.block33(y)
+        g01 = -ca * c - slope * c * f22
+        g02 = -ca * s - slope * c * f23
+        g00 = 1.0 / t0 + ca * slope * c * c + slope * slope * c * c * f22
+        return np.array(((g00, g01, g02), (g01, f22, f23), (g02, f23, f33)))
+
+    def metric_der(x):
+        c, s, y = chart(x)
+        f22, f23 = p.block22(y), p.block23(y)
+        du = np.array((-slope * c, 1.0, 0.0))
+        dv = np.array((0.0, 0.0, 1.0))
+        grads = [q.gradient(y) for q in (p.block22, p.block23, p.block33)]
+        d22, d23, d33 = (gr[0] * du + gr[1] * dv for gr in grads)
+        e0 = np.array((1.0, 0.0, 0.0))
+        d01 = -slope * c * d22 + (ca * s + slope * s * f22) * e0
+        d02 = -slope * c * d23 + (-ca * c + slope * s * f23) * e0
+        d00 = (slope * slope * c * c * d22
+               + (-2.0 * ca * slope * c * s
+                  - 2.0 * slope * slope * c * s * f22) * e0)
+        return np.array(((d00, d01, d02), (d01, d22, d23), (d02, d23, d33)))
+
+    def pot_grad(x):
+        c, s, y = chart(x)
+        wu, wv = p.well.gradient(y)
+        return np.array((-slope * c * wu - s / t0, wu, wv))
+
+    return metric, metric_der, pot_grad
+
+
+@pytest.mark.parametrize("params", [P, STABLE, CURVED],
+                         ids=["shipped", "stable", "curved"])
+def test_one_point_target_kernels_match_the_array_formulas(params):
+    sys, _, target = pendulum_fixture(params)
+    metric, metric_der, pot_grad = _reference_kernels(params)
+    local = np.random.default_rng(43)
+    for x in sys.domain.sample(local, 25):
+        for got, want in ((target.metric.value(x), metric(x)),
+                          (target.metric.derivative(x), metric_der(x)),
+                          (target.potential.gradient(x), pot_grad(x))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _target_outputs(target, x, v):
+    """Every target kernel at (x, v), as bytes."""
+    outs = (target.metric.value(x), target.metric.derivative(x),
+            np.float64(target.potential(x)), target.potential.gradient(x),
+            target.dissipation(x, v), target.dissipation.jac_v(x, v))
+    return [np.asarray(o).tobytes() for o in outs]
+
+
+def _fresh_outputs(params, x, v):
+    return _target_outputs(pendulum_fixture(params)[2], x, v)
+
+
+@pytest.mark.parametrize("params", [P, CURVED], ids=["shipped", "curved"])
+def test_target_point_memo_follows_in_place_changes(params):
+    _, _, target = pendulum_fixture(params)
+    x, v = np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.2])
+    before = _target_outputs(target, x, v)
+    for i in range(3):
+        target.metric.value(x)      # the last point seen is x itself
+        x[i] += 0.125
+        after = _target_outputs(target, x, v)
+        assert after != before
+        assert after == _fresh_outputs(params, x, v)
+        before = after
+
+
+def test_target_point_memo_keeps_signed_zeros_apart():
+    _, _, target = pendulum_fixture(P)
+    v = np.array([0.5, -0.4, 0.2])
+    plus, minus = np.array([0.0, 0.0, 0.0]), np.array([-0.0, 0.0, 0.0])
+    want_plus = _fresh_outputs(P, plus, v)
+    want_minus = _fresh_outputs(P, minus, v)
+    # the tilt's sign of zero reaches the potential gradient through sin x0
+    assert want_plus != want_minus
+    for x, want in ((plus, want_plus), (minus, want_minus), (plus, want_plus),
+                    (minus, want_minus)):
+        assert _target_outputs(target, x, v) == want
+
+
+@pytest.mark.parametrize("params", [P, CURVED], ids=["shipped", "curved"])
+def test_target_point_memo_alternating_points_match_fresh_fixtures(params):
+    sys, _, target = pendulum_fixture(params)
+    local = np.random.default_rng(44)
+    x, y = sys.domain.sample(local, 2)
+    v = local.uniform(-1, 1, 3)
+    want = {0: _fresh_outputs(params, x, v), 1: _fresh_outputs(params, y, v)}
+    for i in range(6):
+        assert _target_outputs(target, (x, y)[i % 2], v) == want[i % 2]
+
+
+@pytest.mark.parametrize("name, profile", [
+    ("block22", quadratic_profile(np.eye(3))),
+    ("block23", constant_profile(0.0, dim=3)),
+    ("block33", cosine_profile(1.0, [1.0])),
+    ("well", quadratic_profile(np.eye(3))),
+    ("gain", constant_profile(1.0)),
+    ("gain", cosine_profile(0.4, [0.5, -0.3], 0.2, 1.0)),
+], ids=["block22-R3", "block23-R3", "block33-R1", "well-R3", "gain-R2",
+        "gain-cosine-R2"])
+def test_profiles_of_the_wrong_dimension_are_refused(name, profile):
+    with pytest.raises(DomainError, match=name):
+        PendulumParams(**{name: profile}).resolved()
+    with pytest.raises(DomainError, match=name):
+        pendulum_fixture(PendulumParams(**{name: profile}))
 
 
 def test_fixture_solves_both_identity_groups():
