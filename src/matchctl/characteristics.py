@@ -80,6 +80,16 @@ def _drive_rows(ratio: Field, xs: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_steps(noun: str, span: float, dt: float) -> None:
+    """DomainError unless dt is positive and finite and a span of flow
+    time (finite, too) takes at most STEP_LIMIT steps of it."""
+    if not 0.0 < dt < np.inf:
+        raise DomainError("%s step dt must be positive and finite" % noun)
+    if not span / dt <= STEP_LIMIT:
+        raise DomainError("%s span %.3g needs more than %d steps at dt=%.3g"
+                          % (noun, span, STEP_LIMIT, dt))
+
+
 def flow_map(ratio: Field, x0, t: float, dt: float = 1e-3) -> np.ndarray:
     """Advance x0 by time t along the first ratio row.
 
@@ -88,13 +98,7 @@ def flow_map(ratio: Field, x0, t: float, dt: float = 1e-3) -> np.ndarray:
     for a non-finite t or dt, or when |t|/dt would exceed the step
     budget, and SingularFieldError if the row vanishes en route.
     """
-    if not 0.0 < dt < np.inf:
-        raise DomainError("flow step dt must be positive and finite")
-    if not np.isfinite(t):
-        raise DomainError("flow horizon t must be finite")
-    if abs(t) / dt > STEP_LIMIT:
-        raise DomainError("flow horizon %.3g needs more than %d steps at dt=%.3g"
-                          % (t, STEP_LIMIT, dt))
+    _check_steps("flow", abs(t), dt)
     return rk4_span(lambda y: _drive_row(ratio, y),
                     np.array(x0, dtype=float), t, dt)
 
@@ -210,11 +214,7 @@ class CharacteristicGrid:
         if not np.isfinite(x).all():
             raise DomainError("query has non-finite entries")
         step = self.dt if dt is None else float(dt)
-        if not 0.0 < step < np.inf:
-            raise DomainError("walk step dt must be positive and finite")
-        if (self.times[-1] - self.times[0]) / step > STEP_LIMIT:
-            raise DomainError("flow-time span needs more than %d steps at "
-                              "dt=%.3g" % (STEP_LIMIT, step))
+        _check_steps("walk", self.times[-1] - self.times[0], step)
         t_star, hit = _plane_time(self.field, x, self.plane_axis,
                                   self.plane_value, step,
                                   float(self.times[0]), float(self.times[-1]))
@@ -377,17 +377,13 @@ def transport_target_data(sys: MechanicalSystem, ratio: Field,
     if sys.m != 1:
         raise ScopeError("transport needs exactly one unactuated coordinate; "
                          "no recipe is available for m = %d" % sys.m)
-    if not 0.0 < dt < np.inf:
-        raise DomainError("transport step dt must be positive and finite")
     anchor = np.asarray(anchor, dtype=float)
     if anchor.shape != (sys.n,):
         raise DomainError("anchor must be a configuration of length %d" % sys.n)
     times = np.asarray(times, dtype=float).ravel()
     if times.size < 2 or not np.all(np.diff(times) > 0.0):
         raise DomainError("flow times must be strictly increasing, length >= 2")
-    if (times[-1] - times[0]) / dt > STEP_LIMIT:
-        raise DomainError("flow-time span needs more than %d steps at dt=%.3g"
-                          % (STEP_LIMIT, dt))
+    _check_steps("transport", times[-1] - times[0], dt)
     hits = np.flatnonzero(np.abs(times) <= 1e-15)
     if hits.size != 1:
         raise DomainError("flow times must contain t = 0 exactly once "

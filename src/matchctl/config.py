@@ -17,7 +17,7 @@ from .errors import ConfigError, MatchctlError
 from .fields import Field
 from .geometry import Box, MechanicalSystem
 from .matching import scaling_solution
-from .shapes import Profile, profile_from_spec
+from .shapes import Profile, constant_profile, profile_from_spec
 from .systems.double_pendulum import chained_pendulums, terminal_family
 from .systems.pendulum import PendulumParams, pendulum_fixture
 from .systems.rollercoaster import (PLANAR, bead_on_track, helix_track,
@@ -159,16 +159,9 @@ def _build_seesaw(params, path):
     a = _float(params, "a", path, default=0.5, positive=True)
     b = _float(params, "b", path, default=2.0, positive=True)
     sys_ = seesaw_cart(a, b, domain=_domain(params, path, 3))
-    prof = _profile(params, "overlap", path, 2)
-    if prof is None:
-        nu = lambda x0, x2: 1.0
-        d_rock = lambda x0, x2: 0.0
-        d_offset = lambda x0, x2: 0.0
-    else:
-        nu = lambda x0, x2: prof(np.array([x0, x2]))
-        d_rock = lambda x0, x2: prof.gradient(np.array([x0, x2]))[0]
-        d_offset = lambda x0, x2: prof.gradient(np.array([x0, x2]))[1]
-    ratio = seesaw_ratio_family(a, b, nu, d_rock, d_offset)
+    overlap = _profile(params, "overlap", path, 2,
+                       default=constant_profile(1.0, 2))
+    ratio = seesaw_ratio_family(a, b, overlap)
     return FixtureBundle("seesaw", sys_, ratio, None, None, np.zeros(3))
 
 
@@ -190,19 +183,11 @@ def _build_rollercoaster(params, path):
         raise ConfigError(path + ".track.shape: expected 'vertical-circle' "
                           "or 'helix', got %r" % (shape,))
     sys_ = bead_on_track(curve, a=a, b=b, domain=_domain(params, path, 2))
-    prof = _profile(params, "overlap", path, 1)
-    if prof is None:
-        nu = lambda y: 1.0
-        rate = lambda y: 0.0
-        curvature = lambda y: 0.0
-    else:
-        nu = lambda y: prof(np.array([y]))
-        rate = lambda y: prof.gradient(np.array([y]))[0]
-        curvature = lambda y: prof.hessian(np.array([y]))[0, 0]
-    if curve.case_tag == PLANAR:
-        ratio = planar_ratio_family(curve, b, nu, rate, curvature)
-    else:
-        ratio = incline_ratio_family(curve, b, nu, rate)
+    overlap = _profile(params, "overlap", path, 1,
+                       default=constant_profile(1.0, 1))
+    family = (planar_ratio_family if curve.case_tag == PLANAR
+              else incline_ratio_family)
+    ratio = family(curve, b, overlap)
     eq = sys_.domain.center if sys_.domain is not None else np.zeros(2)
     return FixtureBundle("rollercoaster", sys_, ratio, None, None, eq)
 

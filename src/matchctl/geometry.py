@@ -139,10 +139,11 @@ class MechanicalSystem(Model):
         if not (0 < self.m < self.n):
             raise DomainError("need 0 < m < n unactuated coordinates")
 
-    def check_metric_spd(self, x, tol: float = 1e-12) -> None:
-        """Raise unless g(x) is symmetric positive definite."""
+    def check_metric_spd(self, x) -> None:
+        """Raise unless g(x) is symmetric (to 1e-12 relative) and positive
+        definite."""
         g = self.metric_at(x)
-        if np.max(np.abs(g - g.T)) > tol * max(1.0, np.max(np.abs(g))):
+        if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
             raise DomainError("metric is not symmetric at the queried point")
         try:
             np.linalg.cholesky(g)

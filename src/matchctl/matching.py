@@ -35,12 +35,15 @@ import numpy as np
 
 from .errors import (DomainError, UnsolvableDataError, IndefiniteTargetError,
                      ScopeError, SingularMetricError)
-from .fields import DissipationField, Field, ScalarField, fd_derivative
+from .fields import DissipationField, Field, ScalarField
 from .geometry import (MechanicalSystem, State, christoffel_first, force,
                        kinetic_matrix, solve)
 from .targets import TargetSystem
 
 KERNEL_TOL_FACTOR = 1e-10
+RECOVERY_TOL = 1e-6         # kernel projection and pin misses in recover_ratio
+POSITIVITY_SAMPLES = 64     # seeded domain points of the scaling target check
+SPAN_TOL = 1e-8             # residual norm of a commutator inside a span
 
 
 def overlap_matrix(sys: MechanicalSystem, ratio: Field, x) -> np.ndarray:
@@ -258,15 +261,14 @@ def rank_condition(sys: MechanicalSystem, x0, samples, radius: float | None = No
 # recovery and the scaling family
 
 def recover_ratio(sys: MechanicalSystem, overlap, x,
-                  kernel_shift=None, pins: Mapping[int, float] | None = None,
-                  residual_tol: float = 1e-6) -> np.ndarray:
+                  pins: Mapping[int, float] | None = None) -> np.ndarray:
     """Solve A r_rest = F at x and complete the eliminated column.
 
     Defined for a single unactuated coordinate (the only case with a
     canonical completion).  Returns the full (n,) row.  The minimum-norm
-    least-squares representative is used, shifted by `kernel_shift` (a
-    vector checked to lie in ker A) or adjusted so pinned components take
-    prescribed values, e.g. pins={2: 0.0} for a zero third component.
+    least-squares representative is used, adjusted within ker A so pinned
+    components take prescribed values, e.g. pins={2: 0.0} for a zero
+    third component.
     """
     if sys.m != 1:
         raise ScopeError("recovery of a single row is defined for m = 1")
@@ -274,17 +276,11 @@ def recover_ratio(sys: MechanicalSystem, overlap, x,
     comp = assemble_compatibility(sys, x)
     F = compatibility_rhs(sys, overlap, x)
     ortho = comp.kernel_basis.T @ F
-    if ortho.size and np.max(np.abs(ortho)) > residual_tol:
+    if ortho.size and np.max(np.abs(ortho)) > RECOVERY_TOL:
         raise UnsolvableDataError(
             f"overlap data violates the solvability conditions at x={x}: "
             f"max kernel projection {np.max(np.abs(ortho)):.3e}")
     rest, *_ = np.linalg.lstsq(comp.matrix, F, rcond=None)
-    if kernel_shift is not None:
-        shift = np.asarray(kernel_shift, dtype=float)
-        if np.max(np.abs(comp.matrix @ shift)) > residual_tol * max(
-                1.0, float(np.max(np.abs(comp.matrix)))):
-            raise DomainError("kernel_shift is not in the kernel of A")
-        rest = rest + shift
     if pins:
         nb = comp.null_basis
         if nb.shape[1] == 0:
@@ -294,7 +290,7 @@ def recover_ratio(sys: MechanicalSystem, overlap, x,
         coef, *_ = np.linalg.lstsq(rows, want, rcond=None)
         adjusted = rest + nb @ coef
         for rho in pins:
-            if abs(adjusted[rho - 1] - pins[rho]) > residual_tol:
+            if abs(adjusted[rho - 1] - pins[rho]) > RECOVERY_TOL:
                 raise DomainError(f"pin on component {rho} is unreachable in ker A")
         rest = adjusted
     g = sys.metric_at(x)
@@ -309,10 +305,12 @@ def actuated_block_matrix_field(sys: MechanicalSystem, block_value: Callable,
                                 block_derivative: Callable | None = None) -> Field:
     """Embed a symmetric field on the actuated coordinates into full shape.
 
-    block_value maps the actuated subvector x[m:] to an (n-m, n-m) matrix;
-    rows and columns touching unactuated indices are structurally zero, and
-    the embedded field cannot depend on the unactuated coordinates.  This is
-    the admissible shape of the extra kinetic term in a scaling solution.
+    block_value maps the actuated subvector x[m:] to an (n-m, n-m) matrix
+    and block_derivative, when given, to its (n-m, n-m, n-m) derivative;
+    without it the Field differences the embedded value.  Rows and columns
+    touching unactuated indices are structurally zero, and the embedded
+    field cannot depend on the unactuated coordinates.  This is the
+    admissible shape of the extra kinetic term in a scaling solution.
     """
     m, n = sys.m, sys.n
 
@@ -321,34 +319,36 @@ def actuated_block_matrix_field(sys: MechanicalSystem, block_value: Callable,
         out[m:, m:] = np.asarray(block_value(np.asarray(x)[m:]), dtype=float)
         return out
 
-    def deriv(x):
-        out = np.zeros((n, n, n))
-        xa = np.asarray(x)[m:]
-        if block_derivative is not None:
-            out[m:, m:, m:] = np.asarray(block_derivative(xa), dtype=float)
-        else:
-            out[m:, m:, m:] = fd_derivative(block_value, xa)
-        return out
+    deriv = None
+    if block_derivative is not None:
+        def deriv(x):
+            out = np.zeros((n, n, n))
+            out[m:, m:, m:] = np.asarray(block_derivative(np.asarray(x)[m:]),
+                                         dtype=float)
+            return out
 
     return Field(val, deriv)
 
 
 def actuated_scalar_field(sys: MechanicalSystem, value: Callable,
                           gradient: Callable | None = None) -> ScalarField:
-    """Scalar field depending only on the actuated coordinates."""
+    """Scalar field depending only on the actuated coordinates.
+
+    value and gradient, when given, map x[m:] to the value and its
+    (n-m,) gradient; without a gradient the ScalarField differences the
+    value."""
     m, n = sys.m, sys.n
 
     def val(x):
         return value(np.asarray(x, dtype=float)[m:])
 
-    def grad(x):
-        out = np.zeros(n)
-        xa = np.asarray(x, dtype=float)[m:]
-        if gradient is not None:
-            out[m:] = np.asarray(gradient(xa), dtype=float)
-        else:
-            out[m:] = fd_derivative(value, xa)
-        return out
+    grad = None
+    if gradient is not None:
+        def grad(x):
+            out = np.zeros(n)
+            out[m:] = np.asarray(gradient(np.asarray(x, dtype=float)[m:]),
+                                 dtype=float)
+            return out
 
     return ScalarField(val, grad)
 
@@ -356,9 +356,7 @@ def actuated_scalar_field(sys: MechanicalSystem, value: Callable,
 def scaling_solution(sys: MechanicalSystem, scale: float,
                      kinetic_extra: Field | None = None,
                      potential_extra: ScalarField | None = None,
-                     check_positivity: bool = True,
-                     positivity_samples: int = 64,
-                     rng: np.random.Generator | None = None
+                     check_positivity: bool = True
                      ) -> tuple[Field, TargetSystem]:
     """The one-parameter diagonal family: ratio = scale * [I | 0].
 
@@ -366,6 +364,8 @@ def scaling_solution(sys: MechanicalSystem, scale: float,
     dissipation = C / scale, with the extras living on the actuated
     coordinates only (build them with actuated_block_matrix_field and
     actuated_scalar_field).  Solves the matching equations for any system.
+    check_positivity samples the domain at POSITIVITY_SAMPLES seeded points
+    and raises if the shaped kinetic matrix is indefinite at one.
     """
     if scale == 0.0:
         raise DomainError("the scaling parameter must be nonzero")
@@ -397,8 +397,8 @@ def scaling_solution(sys: MechanicalSystem, scale: float,
         if sys.domain is None:
             warnings.warn("no domain declared; skipping positivity sampling")
         else:
-            rng = rng or np.random.default_rng(0)
-            for p in sys.domain.sample(rng, positivity_samples):
+            for p in sys.domain.sample(np.random.default_rng(0),
+                                       POSITIVITY_SAMPLES):
                 gt = target.metric_at(p)
                 try:
                     np.linalg.cholesky(0.5 * (gt + gt.T))
@@ -443,18 +443,17 @@ def commutator(f1: Field, f2: Field) -> Field:
     return Field(val)
 
 
-def _in_span(fields, candidate: Field, points, tol: float) -> bool:
+def _in_span(fields, candidate: Field, points) -> bool:
     for p in points:
         S = np.stack([f.value(p) for f in fields], axis=1)
         w = candidate.value(p)
         coef, *_ = np.linalg.lstsq(S, w, rcond=None)
-        if np.linalg.norm(S @ coef - w) > tol:
+        if np.linalg.norm(S @ coef - w) > SPAN_TOL:
             return False
     return True
 
 
-def involutive_closure(fields, points, max_depth: int = 3,
-                       dep_tol: float = 1e-8) -> ClosureResult:
+def involutive_closure(fields, points, max_depth: int = 3) -> ClosureResult:
     """Close a set of fields under pairwise commutators, testing span at points.
 
     Each new bracket is kept only if it escapes the pointwise span of the
@@ -471,7 +470,7 @@ def involutive_closure(fields, points, max_depth: int = 3,
         for i in range(len(current)):
             for j in range(i + 1, len(current)):
                 br = commutator(current[i], current[j])
-                if not _in_span(current + new_fields, br, points, dep_tol):
+                if not _in_span(current + new_fields, br, points):
                     new_fields.append(br)
         if not new_fields:
             return ClosureResult(tuple(current), added_total, depth, True)

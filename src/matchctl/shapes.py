@@ -1,8 +1,9 @@
 """Small catalog of smooth scalar shapes with exact derivatives.
 
-Fixtures and the CLI config select free functions (kinetic-block entries,
-potential wells, damping gains) from this closed family instead of parsing
-arbitrary expressions.
+Fixtures, ratio families and the CLI config take their free functions
+(kinetic-block entries, potential wells, damping gains, overlap data) as
+profiles, and the config selects them from this closed family instead of
+parsing arbitrary expressions.
 
 Each kind states its value and gradient once, as a jet on Python floats:
 jet(y) takes a point as a tuple of d floats and returns (value, gradient),
@@ -28,7 +29,8 @@ class Profile:
     the length of y (a short tuple would be read as a shorter point), so a
     caller that builds y itself checks dim once up front.  __call__ and
     gradient take any array-like point, check that it has d entries and
-    read the jet; hessian(y) is the (d, d) array of second derivatives.
+    read the jet; hessian(y) checks its point the same way and returns the
+    (d, d) array of second derivatives.
     """
 
     def __init__(self, jet: Callable, hessian: Callable, dim: int):
@@ -50,7 +52,14 @@ class Profile:
         return np.array(self.jet(self._point(y))[1])
 
     def hessian(self, y) -> np.ndarray:
-        return np.asarray(self._hessian(np.asarray(y, dtype=float)), dtype=float)
+        return np.asarray(self._hessian(np.array(self._point(y))), dtype=float)
+
+    def require_dim(self, dim: int, what: str) -> "Profile":
+        """This profile, or DomainError unless it lives on R^dim."""
+        if self.dim != dim:
+            raise DomainError(f"{what} must be a profile on R^{dim}, "
+                              f"got one on R^{self.dim}")
+        return self
 
 
 def constant_profile(c: float, dim: int = 2) -> Profile:

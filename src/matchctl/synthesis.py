@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, MatchctlError,
                      NotAnEquilibriumError, ScopeError, SingularTargetError)
-from .fields import FD_STEP, fd_derivative
+from .fields import fd_derivative
 # christoffel_first is imported by name so perfbench/spans.py can patch it
 from .geometry import (MechanicalSystem, State, acceleration,  # noqa: F401
                        christoffel_first, energy, force, kinetic_matrix,
@@ -296,7 +296,7 @@ def _require_matched(sys: MechanicalSystem, target: TargetSystem,
 
 
 def linearize_closed_loop(sys: MechanicalSystem, target: TargetSystem,
-                          x_star, step: float = FD_STEP) -> Linearization:
+                          x_star) -> Linearization:
     """First-order model of the controlled plant about a rest point.
 
     Preconditions: the law produces no force at (x_star, 0), the shaped
@@ -324,7 +324,7 @@ def linearize_closed_loop(sys: MechanicalSystem, target: TargetSystem,
         return np.concatenate(
             (z[n:], target_acceleration(target, State(z[:n], z[n:]))))
 
-    mat = fd_derivative(field, np.concatenate((x_star, np.zeros(n))), step)
+    mat = fd_derivative(field, np.concatenate((x_star, np.zeros(n))))
     eig = np.linalg.eigvals(mat)
     order = np.argsort(-eig.real, kind="stable")
     return Linearization(matrix=mat, spectrum=eig[order])
@@ -372,7 +372,7 @@ class GermReport:
 
 
 def germ_check(sys: MechanicalSystem, target: TargetSystem, x_star,
-               gains, step: float = FD_STEP) -> GermReport:
+               gains) -> GermReport:
     """Compare the matching law's germ at a rest point with linear gains.
 
     Scope is two-degree-of-freedom systems.  The plant's dissipative
@@ -394,9 +394,9 @@ def germ_check(sys: MechanicalSystem, target: TargetSystem, x_star,
 
     value = control_law(sys, target, State(x_star, zero))
     pos = fd_derivative(lambda y: control_law(sys, target, State(y, zero)),
-                        x_star, step)
+                        x_star)
     vel = fd_derivative(lambda w: control_law(sys, target, State(x_star, w)),
-                        zero, step)
+                        zero)
     return GermReport(
         value_defect=float(np.max(np.abs(value - v_ref))),
         position_defect=float(np.max(np.abs(pos - a_ref))),

@@ -126,10 +126,7 @@ class PendulumParams:
         res = replace(self, **fill) if fill else self
         for name, dim in (("block22", 2), ("block23", 2), ("block33", 2),
                           ("well", 2), ("gain", 3)):
-            got = getattr(res, name).dim
-            if got != dim:
-                raise DomainError(f"{name} must be a profile on R^{dim}, "
-                                  f"got one on R^{got}")
+            getattr(res, name).require_dim(dim, name)
         return res
 
     @classmethod
@@ -276,19 +273,20 @@ def pendulum_fixture(p: PendulumParams
     return sys, ratio, target
 
 
-def pendulum_ratio_family(p: PendulumParams, overlap: Callable,
-                          overlap_rate: Callable,
+def pendulum_ratio_family(p: PendulumParams, overlap: Profile,
                           free3: Callable | None = None) -> Field:
     """General ratio family from scalar overlap data depending on the tilt.
 
-    overlap and overlap_rate map the tilt angle to the overlap value and
-    its derivative; free3 (a function of x, default zero) is the free third
-    component.  The family divides by sin(tilt): evaluation inside the
-    guard band raises, so prefer pendulum_fixture's closed form, whose
-    specific overlap choice cancels the singularity.
+    overlap is a profile on R^1 over the tilt angle, read once per point
+    through its jet; free3 (a function of x, default zero) is the free
+    third component.  The family divides by sin(tilt): evaluation inside
+    the guard band raises, so prefer pendulum_fixture's closed form, whose
+    specific overlap choice cancels the singularity.  The derivative is
+    differenced (see fields.Field).
     """
     p = p.resolved()
     a = p.a
+    jet = overlap.require_dim(1, "tilt overlap").jet
 
     def rval(x):
         c, s = np.cos(x[0]), np.sin(x[0])
@@ -296,7 +294,7 @@ def pendulum_ratio_family(p: PendulumParams, overlap: Callable,
             raise SingularLocusError(
                 f"ratio family is singular at tilt {x[0]!r} (|sin| < {SIN_GUARD})")
         f3 = float(free3(x)) if free3 is not None else 0.0
-        nv, npr = float(overlap(x[0])), float(overlap_rate(x[0]))
+        nv, (npr,) = jet((float(x[0]),))
         l2 = npr / (2.0 * a * s) + (c / s) * f3
         l1 = nv + 0.5 * (c / s) * npr + a * f3 / s
         return np.array([[l1, l2, f3]])

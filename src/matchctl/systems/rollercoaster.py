@@ -3,8 +3,9 @@ arclength coordinate along a space curve.
 
 The track enters through three scalar functions of arclength: the angle
 between tangent and vertical, the curvature, and the vertical component
-of the principal normal.  Two track classes admit closed-form ratio
-families and each gets its own evaluator:
+of the principal normal, with the exact rates of the angle and of the
+kinetic profile.  Two track classes admit closed-form ratio families and
+each gets its own evaluator, its overlap data a shapes.Profile on R^1:
 
   planar           sin^2(angle) equals the squared vertical normal
                    component everywhere; overlap data is any function of
@@ -27,6 +28,7 @@ import numpy as np
 from ..errors import DomainError, SingularLocusError
 from ..fields import DissipationField, Field, ScalarField, per_point
 from ..geometry import Box, MechanicalSystem
+from ..shapes import Profile
 
 PLANAR = "planar"
 CONSTANT_INCLINE = "constant-incline"
@@ -41,10 +43,10 @@ class TrackCurve:
 
     alpha, curvature and normal3 map arclength to the tangent-vertical
     angle, the curvature and the vertical normal component; height is
-    the climbed height.  alpha_rate and profile_rate, when given, are
-    the exact s-derivatives of alpha and of the kinetic profile
-    q(s) = curvature^2 (sin^2 alpha - normal3^2)/sin^4 alpha; otherwise
-    finite differences fill in.
+    the climbed height.  alpha_rate and profile_rate are the exact
+    s-derivatives of alpha and of the kinetic profile
+    q(s) = curvature^2 (sin^2 alpha - normal3^2)/sin^4 alpha, so the
+    plant's metric derivative is exact.
     """
 
     alpha: Callable
@@ -52,8 +54,8 @@ class TrackCurve:
     normal3: Callable
     height: Callable
     case_tag: str
-    alpha_rate: Callable | None = None
-    profile_rate: Callable | None = None
+    alpha_rate: Callable
+    profile_rate: Callable
     name: str = "track"
 
     def profile(self, s: float) -> float:
@@ -131,26 +133,18 @@ def helix_track(radius: float, climb: float) -> TrackCurve:
         name=f"helix-{r:g}-{h:g}")
 
 
-def _rate(f, s, exact):
-    """exact(s) when given, else the central difference of f at s."""
-    if exact is not None:
-        return float(exact(s))
-    h = 1e-6
-    return (f(s + h) - f(s - h)) / (2.0 * h)
-
-
 def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
-                  domain: Box | None = None,
-                  invariant_samples=None) -> MechanicalSystem:
-    """Two-coordinate plant: unactuated swing x[0], driven arclength x[1]."""
+                  domain: Box | None = None) -> MechanicalSystem:
+    """Two-coordinate plant: unactuated swing x[0], driven arclength x[1].
+
+    The curve's class invariant is checked at nine arclengths spanning
+    the domain."""
     a, b = float(a), float(b)
     if not (0.0 < b < 1.0):
         raise DomainError("need 0 < b < 1 for a positive kinetic matrix")
     if domain is None:
         domain = Box(lo=(0.2, -0.2), hi=(0.7, 1.0))
-    if invariant_samples is None:
-        invariant_samples = np.linspace(domain.lo[1], domain.hi[1], 9)
-    validate_curve(curve, invariant_samples)
+    validate_curve(curve, np.linspace(domain.lo[1], domain.hi[1], 9))
 
     def gval(x):
         phi, s = x
@@ -164,8 +158,8 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
         phi, s = x
         al = curve.alpha(s)
         ca = np.cos(al - phi)
-        ar = _rate(curve.alpha, s, curve.alpha_rate)
-        qr = _rate(curve.profile, s, curve.profile_rate)
+        ar = float(curve.alpha_rate(s))
+        qr = float(curve.profile_rate(s))
         d = np.zeros((2, 2, 2))
         d[0, 1, 0] = -b * ca
         d[0, 1, 1] = b * ca * ar
@@ -190,19 +184,19 @@ def bead_on_track(curve: TrackCurve, a: float = 1.0, b: float = 0.5,
         name=f"bead-{curve.name}")
 
 
-def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
-                        overlap_rate: Callable,
-                        overlap_curvature: Callable | None = None) -> Field:
+def planar_ratio_family(curve: TrackCurve, b: float, overlap: Profile) -> Field:
     """Ratio rows for planar tracks from overlap data nu(swing angle).
 
-    With th = alpha(s) - swing the rows are
-    r = [nu + tan(th) nu'/2, -nu'/(2 b cos th)].  overlap_curvature, when
-    given, is nu'' and makes the derivative exact; otherwise central
-    differences fill in, which lose accuracy near the locus cos th = 0.
+    overlap is a profile on R^1 over the swing; each point reads its jet
+    (nu, nu') once.  With th = alpha(s) - swing the rows are
+    r = [nu + tan(th) nu'/2, -nu'/(2 b cos th)], and the derivative is
+    exact, with nu'' from the overlap's Hessian, so it stays accurate
+    next to the locus cos th = 0.
     """
     if curve.case_tag != PLANAR:
         raise DomainError("planar family needs a planar curve")
     b = float(b)
+    jet = overlap.require_dim(1, "planar overlap").jet
 
     def angle(x):
         phi, s = x
@@ -215,18 +209,16 @@ def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
 
     def rval(x):
         th, ca = angle(x)
-        nv, nr = float(overlap(x[0])), float(overlap_rate(x[0]))
+        nv, (nr,) = jet((float(x[0]),))
         return np.array([[nv + 0.5 * np.tan(th) * nr,
                           -nr / (2.0 * b * ca)]])
-
-    if overlap_curvature is None:
-        return Field(per_point(rval))
 
     def rder(x):
         th, ca = angle(x)
         phi, s = x
-        nr, nc = float(overlap_rate(phi)), float(overlap_curvature(phi))
-        ar = _rate(curve.alpha, s, curve.alpha_rate)
+        _, (nr,) = jet((float(phi),))
+        nc = float(overlap.hessian(x[:1])[0, 0])
+        ar = float(curve.alpha_rate(s))
         sec2 = 1.0 / (ca * ca)
         tilt = nr * np.sin(th) * sec2 / (2.0 * b)   # nu' sin th / (2b cos^2 th)
         return np.array([[[nr - 0.5 * sec2 * nr + 0.5 * np.tan(th) * nc,
@@ -236,15 +228,15 @@ def planar_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
     return Field(per_point(rval), per_point(rder))
 
 
-def curvature_integral(curve: TrackCurve, b: float, s: float,
-                       order: int = QUAD_ORDER) -> float:
-    """Integral of curvature^2/(b sin^2 alpha0) from 0 to s, by fixed-order
-    Gauss-Legendre quadrature (exact for the constant-curvature tracks)."""
+def curvature_integral(curve: TrackCurve, b: float, s: float) -> float:
+    """Integral of curvature^2/(b sin^2 alpha0) from 0 to s, by QUAD_ORDER-
+    point Gauss-Legendre quadrature (exact for the constant-curvature
+    tracks)."""
     a0 = curve.alpha(0.0)
     sa2 = np.sin(a0) ** 2
     if sa2 < LOCUS_GUARD:
         raise DomainError("vertical tangent: chart integral undefined")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     half = 0.5 * s
     pts = half * (nodes + 1.0)
     vals = np.array([curve.curvature(p) ** 2 for p in pts])
@@ -281,12 +273,17 @@ def incline_chart(curve: TrackCurve, b: float) -> ScalarField:
     return ScalarField(value, gradient)
 
 
-def incline_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
-                         overlap_rate: Callable) -> Field:
-    """Ratio rows for constant-incline tracks from overlap data nu(chart)."""
+def incline_ratio_family(curve: TrackCurve, b: float, overlap: Profile) -> Field:
+    """Ratio rows for constant-incline tracks from overlap data nu(chart).
+
+    overlap is a profile on R^1 over the value of incline_chart; each
+    point reads its jet (nu, nu') once.  The derivative is differenced
+    (see fields.Field).
+    """
     chart = incline_chart(curve, b)
     a0 = curve.alpha(0.0)
     b = float(b)
+    jet = overlap.require_dim(1, "incline overlap").jet
 
     def rval(x):
         phi, _ = x
@@ -294,8 +291,7 @@ def incline_ratio_family(curve: TrackCurve, b: float, overlap: Callable,
         if abs(s2) < LOCUS_GUARD:
             raise SingularLocusError(
                 f"incline family singular at x={x} (sin(2 swing) ~ 0)")
-        z = chart(x)
-        nv, nr = float(overlap(z)), float(overlap_rate(z))
+        nv, (nr,) = jet((chart(x),))
         return np.array([[nv - (np.sin(a0 - phi) / s2) * nr,
                           nr / (b * s2)]])
 

@@ -13,13 +13,12 @@ family evaluator.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..errors import DomainError, SingularLocusError
 from ..fields import DissipationField, Field, ScalarField, per_point
 from ..geometry import Box, MechanicalSystem
+from ..shapes import Profile, constant_profile
 
 LOCUS_GUARD = 1e-6
 
@@ -64,16 +63,18 @@ def seesaw_cart(a: float = 0.5, b: float = 2.0, domain: Box | None = None,
         name=name)
 
 
-def seesaw_ratio_family(a: float, b: float, overlap: Callable,
-                        d_rock: Callable, d_offset: Callable) -> Field:
+def seesaw_ratio_family(a: float, b: float, overlap: Profile) -> Field:
     """Ratio rows from scalar overlap data nu(x0, x2).
 
-    overlap, d_rock and d_offset map (x0, x2) to nu and its two partial
-    derivatives.  Data depending on x1 is not solvable for this plant,
-    so that argument never appears.  Evaluation raises within the guard
-    band of the locus sin(x0 - x1) = 0 or x2 = 0.
+    overlap is a profile on R^2 over (x0, x2), read once per point
+    through its jet for nu and its two partial derivatives.  Data
+    depending on x1 is not solvable for this plant, so that argument
+    never appears.  Evaluation raises within the guard band of the locus
+    sin(x0 - x1) = 0 or x2 = 0; the derivative is differenced (see
+    fields.Field).
     """
     a, b = float(a), float(b)
+    jet = overlap.require_dim(2, "seesaw overlap").jet
 
     def rval(x):
         d = x[0] - x[1]
@@ -82,9 +83,7 @@ def seesaw_ratio_family(a: float, b: float, overlap: Callable,
             raise SingularLocusError(
                 f"ratio family is singular at x={x} "
                 f"(needs |sin(x0 - x1)| and |x2| above {LOCUS_GUARD})")
-        nv = float(overlap(x[0], x[2]))
-        n0 = float(d_rock(x[0], x[2]))
-        n2 = float(d_offset(x[0], x[2]))
+        nv, (n0, n2) = jet((float(x[0]), float(x[2])))
         w = x[2]
         r1 = (2.0 * nv - w * n2) / (2.0 * b)
         r2 = (-2.0 * w * nv + (b + w * w) * n2) / (2.0 * a * b * s)
@@ -98,5 +97,4 @@ def seesaw_ratio_family(a: float, b: float, overlap: Callable,
 def unit_overlap_ratio(a: float, b: float) -> Field:
     """The constant-overlap member: finite away from the locus, divergent
     rows as the locus is approached."""
-    return seesaw_ratio_family(a, b, lambda x0, x2: 1.0,
-                               lambda x0, x2: 0.0, lambda x0, x2: 0.0)
+    return seesaw_ratio_family(a, b, constant_profile(1.0))

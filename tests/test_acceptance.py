@@ -21,7 +21,7 @@ from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, involutive_closure,
                                kernel_direction_fields, rank_condition,
                                solvability_residual)
-from matchctl.shapes import constant_profile
+from matchctl.shapes import constant_profile, cosine_profile
 from matchctl.synthesis import (germ_check, linear_gains_from_blocks,
                                 linearize_closed_loop, lyapunov_audit,
                                 matched_controller, simulate)
@@ -126,16 +126,15 @@ def test_criterion_02_stated_solutions_pass_residuals_on_all_fixtures():
 
     circle = vertical_circle_track(2.0)
     bead1 = bead_on_track(circle, a=1.0, b=0.5)
-    fam1 = planar_ratio_family(circle, 0.5,
-                               lambda q: 0.7 * np.sin(q) + 1.1,
-                               lambda q: 0.7 * np.cos(q))
+    # overlap 0.7 sin(q) + 1.1
+    fam1 = planar_ratio_family(circle, 0.5, cosine_profile(
+        0.7, [1.0], phase=-0.5 * np.pi, offset=1.1))
     worst = max(worst, max(np.max(np.abs(transport_residual(bead1, fam1, x)))
                            for x in bead1.domain.sample(rng, 100)))
     hel = helix_track(radius=1.5, climb=0.6)
     bead2 = bead_on_track(hel, a=1.0, b=0.5)
     fam2 = incline_ratio_family(hel, 0.5,
-                                lambda z: 0.4 * np.cos(z) + 1.2,
-                                lambda z: -0.4 * np.sin(z))
+                                cosine_profile(0.4, [1.0], offset=1.2))
     worst = max(worst, max(np.max(np.abs(transport_residual(bead2, fam2, x)))
                            for x in bead2.domain.sample(rng, 100)))
 

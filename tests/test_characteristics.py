@@ -17,6 +17,7 @@ from matchctl.errors import (AsymmetryError, DomainError, ScopeError,
                              TransversalityError)
 from matchctl.fields import per_point
 from matchctl.rk4 import rk4_span, rk4_step
+from matchctl.shapes import cosine_profile
 from matchctl.systems import (PendulumParams, bead_on_track,
                               chained_pendulums, helix_track,
                               incline_ratio_family, pendulum_fixture,
@@ -627,7 +628,7 @@ def _reachable_fields():
     """(plant, ratio) pairs of every m = 1 fixture a transport can reach."""
     seesaw = seesaw_cart()
     helix = bead_on_track(helix_track(radius=1.5, climb=0.6))
-    family = pendulum_ratio_family(P, np.cos, lambda t: -np.sin(t),
+    family = pendulum_ratio_family(P, cosine_profile(1.0, [1.0]),
                                    free3=lambda x: 0.1 * x[2])
     bead = _bead_case()
     return {"pendulum": (SYS, RATIO), "pendulum-family": (SYS, family),
@@ -635,7 +636,8 @@ def _reachable_fields():
             "seesaw-scaling": (seesaw, scaling_solution(seesaw, 2.0)[0]),
             "bead-planar": (bead["sys"], bead["ratio"]),
             "bead-incline": (helix, incline_ratio_family(
-                helix_track(radius=1.5, climb=0.6), 0.5, np.sin, np.cos))}
+                helix_track(radius=1.5, climb=0.6), 0.5,
+                cosine_profile(1.0, [1.0], phase=-0.5 * np.pi)))}
 
 
 @pytest.mark.parametrize("name", sorted(_reachable_fields()))

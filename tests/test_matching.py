@@ -9,7 +9,7 @@ from matchctl import (State, assemble_compatibility, control_law,
                       matching_residual, scaling_solution, transport_residual)
 from matchctl.errors import (DomainError, IndefiniteTargetError, ScopeError,
                              SingularMetricError)
-from matchctl.fields import DissipationField, Field, ScalarField
+from matchctl.fields import DissipationField, Field, ScalarField, fd_derivative
 from matchctl.geometry import Box, MechanicalSystem, christoffel_first, force
 from matchctl.matching import (actuated_block_matrix_field,
                                actuated_scalar_field, commutator,
@@ -17,8 +17,9 @@ from matchctl.matching import (actuated_block_matrix_field,
                                overlap_matrix, pair_basis, rank_condition,
                                recover_ratio, solvability_residual)
 from matchctl.config import load_config
-from matchctl.systems import (PendulumParams, chained_pendulums,
-                              pendulum_fixture, seesaw_cart)
+from matchctl.systems import (PendulumParams, bead_on_track, chained_pendulums,
+                              pendulum_fixture, seesaw_cart,
+                              vertical_circle_track)
 from matchctl.systems.rigidity import transport_coefficients
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -353,6 +354,31 @@ def test_actuated_extras_shape():
     pot = actuated_scalar_field(sys, lambda z: z[0] + z[1] ** 2)
     assert pot(x) == pytest.approx(0.3 + 0.04)
     assert pot.gradient(x)[0] == 0.0
+
+
+def _plants_with_actuated_blocks():
+    return {"pendulum-cart": PEND[0],
+            "bead": bead_on_track(vertical_circle_track(2.0), a=1.0, b=0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(_plants_with_actuated_blocks()))
+def test_actuated_extras_without_derivatives_difference_the_block(name):
+    # reference: central differences of the actuated block alone, embedded
+    # into zeros; the unactuated columns difference to exact zeros, so
+    # Field's differences over all of x agree bit for bit
+    sys = _plants_with_actuated_blocks()[name]
+    m, n = sys.m, sys.n
+    block = lambda z: np.diag(1.0 + z * z) + 0.3 * np.outer(np.sin(z), z)
+    scalar = lambda z: float(np.sum(np.cos(z)) + (z @ z) * z[0])
+    blk = actuated_block_matrix_field(sys, block)
+    pot = actuated_scalar_field(sys, scalar)
+    for x in sys.domain.sample(np.random.default_rng(31), 100):
+        want = np.zeros((n, n, n))
+        want[m:, m:, m:] = fd_derivative(block, x[m:])
+        assert np.array_equal(blk.derivative(x), want)
+        grad = np.zeros(n)
+        grad[m:] = fd_derivative(scalar, x[m:])
+        assert np.array_equal(pot.gradient(x), grad)
 
 
 def test_commutator_closed_form():

@@ -286,13 +286,21 @@ def test_recover_ratio_reproduces_the_fixture_row():
 
 
 def test_family_evaluator_agrees_with_the_fixture():
+    # the fixture's overlap t0 - a m0 cos^2(tilt), a cosine of twice the tilt
     ov = _fixture_overlap(P)
-    fam = pendulum_ratio_family(
-        P, lambda t: float(ov.value(np.array([t, 0.0, 0.0]))[0, 0]),
-        lambda t: float(ov.derivative(np.array([t, 0.0, 0.0]))[0, 0, 0]))
+    half = 0.5 * P.a * P.sway_ratio
+    prof = cosine_profile(-half, [2.0], offset=P.tilt_ratio - half)
+    fam = pendulum_ratio_family(P, prof)
     for x in PTS:
+        assert abs(prof(x[:1]) - ov.value(x)[0, 0]) <= 1e-12
         if abs(np.sin(x[0])) > 1e-2:
             assert np.max(np.abs(fam.value(x) - RATIO.value(x))) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_family_refuses_an_overlap_of_the_wrong_dimension(dim):
+    with pytest.raises(DomainError):
+        pendulum_ratio_family(P, constant_profile(1.0, dim))
 
 
 def test_shaped_potential_gauge_and_origin_blocks():

@@ -10,8 +10,9 @@ from matchctl.config import load_config
 from matchctl.errors import DomainError, SingularLocusError
 from matchctl.fields import Field, fd_derivative
 from matchctl.matching import solvability_residual
-from matchctl.systems import (TrackCurve, bead_on_track, curvature_integral,
-                              helix_track, incline_chart, incline_ratio_family,
+from matchctl.shapes import constant_profile, cosine_profile
+from matchctl.systems import (bead_on_track, curvature_integral, helix_track,
+                              incline_chart, incline_ratio_family,
                               planar_ratio_family, validate_curve,
                               vertical_circle_track)
 
@@ -41,23 +42,15 @@ def test_track_constructors_validate():
 def test_declared_class_invariants_are_enforced():
     validate_curve(CIRCLE, np.linspace(-1, 1, 7))
     validate_curve(HELIX, np.linspace(-1, 1, 7))
-    liar = TrackCurve(alpha=CIRCLE.alpha, curvature=CIRCLE.curvature,
-                      normal3=lambda s: 0.0, height=CIRCLE.height,
-                      case_tag="planar")
+    liar = dataclasses.replace(CIRCLE, normal3=lambda s: 0.0)
     with pytest.raises(DomainError):
         validate_curve(liar, np.linspace(-1, 1, 7))
     with pytest.raises(DomainError):
-        validate_curve(
-            TrackCurve(alpha=lambda s: 0.3 + s, curvature=HELIX.curvature,
-                       normal3=lambda s: 0.0, height=HELIX.height,
-                       case_tag="constant-incline"),
-            np.linspace(-1, 1, 7))
+        validate_curve(dataclasses.replace(HELIX, alpha=lambda s: 0.3 + s),
+                       np.linspace(-1, 1, 7))
     with pytest.raises(DomainError):
-        validate_curve(
-            TrackCurve(alpha=CIRCLE.alpha, curvature=CIRCLE.curvature,
-                       normal3=CIRCLE.normal3, height=CIRCLE.height,
-                       case_tag="clothoid"),
-            np.linspace(-1, 1, 7))
+        validate_curve(dataclasses.replace(CIRCLE, case_tag="clothoid"),
+                       np.linspace(-1, 1, 7))
     with pytest.raises(DomainError):
         bead_on_track(liar)
 
@@ -73,24 +66,26 @@ def test_metric_and_potential_oracles():
             sys.check_metric_spd(x)
 
 
+# 0.7 sin(swing) + 1.1
+SINE = cosine_profile(0.7, [1.0], phase=-0.5 * np.pi, offset=1.1)
+
+
 def test_planar_family_members():
-    nu = lambda phi: 0.7 * np.sin(phi) + 1.1
-    nur = lambda phi: 0.7 * np.cos(phi)
-    fam = planar_ratio_family(CIRCLE, B, nu, nur)
+    fam = planar_ratio_family(CIRCLE, B, SINE)
     assert max(np.max(np.abs(transport_residual(SYS1, fam, x)))
                for x in PTS1) <= 1e-9
 
-    const = planar_ratio_family(CIRCLE, B, lambda p: 1.3, lambda p: 0.0)
+    const = planar_ratio_family(CIRCLE, B, constant_profile(1.3, 1))
     assert max(np.max(np.abs(transport_residual(SYS1, const, x)))
                for x in PTS1) <= 1e-9
 
     # unit overlap collapses to the first coordinate row
-    unit = planar_ratio_family(CIRCLE, B, lambda p: 1.0, lambda p: 0.0)
+    unit = planar_ratio_family(CIRCLE, B, constant_profile(1.0, 1))
     for x in PTS1[:5]:
         assert np.allclose(unit.value(x), [[1.0, 0.0]], atol=1e-15)
 
     with pytest.raises(DomainError):
-        planar_ratio_family(HELIX, B, nu, nur)
+        planar_ratio_family(HELIX, B, SINE)
     # cos(alpha - swing) = 0 at swing = alpha - pi/2
     s0 = 0.3
     bad_phi = CIRCLE.alpha(s0) - 0.5 * np.pi
@@ -99,20 +94,22 @@ def test_planar_family_members():
 
 
 def test_planar_family_exact_derivative():
-    nu = lambda phi: 0.7 * np.sin(phi) + 1.1
-    nur = lambda phi: 0.7 * np.cos(phi)
-    nuc = lambda phi: -0.7 * np.sin(phi)
     pts = list(np.random.default_rng(17).uniform(SYS1.domain.lo + 0.05,
                                                  SYS1.domain.hi - 0.05,
                                                  (20, 2)))
-    differenced = planar_ratio_family(CIRCLE, B, nu, nur)
-    # with and without the curve's exact alpha rate
-    for curve in (CIRCLE, dataclasses.replace(CIRCLE, alpha_rate=None)):
-        exact = planar_ratio_family(curve, B, nu, nur, nuc)
-        for x in pts:
-            assert np.array_equal(exact.value(x), differenced.value(x))
-            assert np.max(np.abs(exact.derivative(x)
-                                 - fd_derivative(exact.value, x))) <= 5e-8
+    exact = planar_ratio_family(CIRCLE, B, SINE)
+    for x in pts:
+        assert np.max(np.abs(exact.derivative(x)
+                             - fd_derivative(exact.value, x))) <= 5e-8
+
+
+@pytest.mark.parametrize("family, curve", [
+    (planar_ratio_family, CIRCLE), (incline_ratio_family, HELIX)],
+    ids=["planar", "incline"])
+def test_families_refuse_an_overlap_of_the_wrong_dimension(family, curve):
+    for dim in (2, 3):
+        with pytest.raises(DomainError):
+            family(curve, B, constant_profile(1.0, dim))
 
 
 def test_shipped_planar_ratio_passes_near_the_locus_corner():
@@ -161,8 +158,8 @@ def test_incline_chart_and_family():
         assert abs(kdir @ gz) / np.linalg.norm(gz) <= 1e-9
         assert np.max(np.abs(chart.gradient(x) - fd_derivative(chart, x))) <= 5e-6
 
-    fam = incline_ratio_family(HELIX, B, lambda z: 0.4 * np.cos(z) + 1.2,
-                               lambda z: -0.4 * np.sin(z))
+    fam = incline_ratio_family(HELIX, B,
+                               cosine_profile(0.4, [1.0], offset=1.2))
     assert max(np.max(np.abs(transport_residual(SYS2, fam, x)))
                for x in PTS2) <= 1e-9
 

@@ -7,6 +7,7 @@ from matchctl import (Field, State, assemble_compatibility,
 from matchctl.errors import DomainError, SingularLocusError
 from matchctl.fields import fd_derivative
 from matchctl.matching import rank_condition
+from matchctl.shapes import Profile, constant_profile
 from matchctl.systems import seesaw_cart, seesaw_ratio_family, unit_overlap_ratio
 
 rng = np.random.default_rng(3)
@@ -30,11 +31,24 @@ def test_metric_derivative_and_positivity():
         SYS.check_metric_spd(x)
 
 
+def _varying_overlap_jet(y):
+    """0.4 x2^2 cos x0 + 0.7 x0 + 1.3 over y = (x0, x2), with its gradient."""
+    x0, x2 = y
+    return (0.4 * x2 * x2 * np.cos(x0) + 0.7 * x0 + 1.3,
+            (-0.4 * x2 * x2 * np.sin(x0) + 0.7, 0.8 * x2 * np.cos(x0)))
+
+
+def _varying_overlap_hessian(y):
+    x0, x2 = y
+    return np.array([[-0.4 * x2 * x2 * np.cos(x0), -0.8 * x2 * np.sin(x0)],
+                     [-0.8 * x2 * np.sin(x0), 0.8 * np.cos(x0)]])
+
+
+VARYING = Profile(_varying_overlap_jet, _varying_overlap_hessian, 2)
+
+
 def test_family_with_varying_overlap_is_transport_exact():
-    nu = lambda x0, x2: 0.4 * x2 * x2 * np.cos(x0) + 0.7 * x0 + 1.3
-    d0 = lambda x0, x2: -0.4 * x2 * x2 * np.sin(x0) + 0.7
-    d2 = lambda x0, x2: 0.8 * x2 * np.cos(x0)
-    fam = seesaw_ratio_family(A, B, nu, d0, d2)
+    fam = seesaw_ratio_family(A, B, VARYING)
     worst = max(np.max(np.abs(transport_residual(SYS, fam, x))) for x in PTS)
     assert worst <= 1e-9
 
@@ -43,7 +57,7 @@ def test_family_with_varying_overlap_is_transport_exact():
     def rval_truncated(x):
         d = x[0] - x[1]
         s, c = np.sin(d), np.cos(d)
-        nv, n2 = nu(x[0], x[2]), d2(x[0], x[2])
+        nv, (_, n2) = VARYING.jet((x[0], x[2]))
         w = x[2]
         return np.array([[(2 * nv - w * n2) / (2 * B),
                           (-2 * w * nv + (B + w * w) * n2) / (2 * A * B * s),
@@ -63,6 +77,12 @@ def test_unit_overlap_member_row_and_residual():
         s, c = np.sin(x[0] - x[1]), np.cos(x[0] - x[1])
         expected = [1 / B, -x[2] / (A * B * s), -x[2] * c / (B * s)]
         assert np.max(np.abs(uo.value(x)[0] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_family_refuses_an_overlap_of_the_wrong_dimension(dim):
+    with pytest.raises(DomainError):
+        seesaw_ratio_family(A, B, constant_profile(1.0, dim))
 
 
 def test_locus_guard():

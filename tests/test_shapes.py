@@ -56,3 +56,5 @@ def test_points_of_the_wrong_size_are_refused(kind):
             prof(y)
         with pytest.raises(DomainError):
             prof.gradient(y)
+        with pytest.raises(DomainError):
+            prof.hessian(y)
