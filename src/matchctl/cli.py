@@ -26,11 +26,20 @@ from .synthesis import (linearize_closed_loop, lyapunov_audit,
 from .systems.rigidity import basic_jet_residual, rigidity_probe
 
 
+def _out_dir(cfg: RunConfig) -> str:
+    """The output directory, made if missing; ConfigError if it cannot be."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output directory %s: %s"
+                          % (cfg.output_dir, exc.strerror)) from exc
+    return cfg.output_dir
+
+
 def _emit(cfg: RunConfig, name: str, text: str) -> None:
     sys.stdout.write(text)
     if cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        with open(os.path.join(cfg.output_dir, name), "w",
+        with open(os.path.join(_out_dir(cfg), name), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
 
@@ -150,11 +159,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     e0, e1 = audit.energies[0], audit.energies[-1]
 
     if cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        trajectory_csv(plant, target_energy,
-                       os.path.join(cfg.output_dir, "plant.csv"))
+        out = _out_dir(cfg)
+        trajectory_csv(plant, target_energy, os.path.join(out, "plant.csv"))
         trajectory_csv(reference, target_energy,
-                       os.path.join(cfg.output_dir, "target.csv"))
+                       os.path.join(out, "target.csv"))
     lines = ["fixture: %s" % bundle.name,
              "dt: %.3e  horizon: %.3f  nodes: %d"
              % (run.dt, run.horizon, plant.times.size),

@@ -26,9 +26,8 @@ from .systems.rollercoaster import (PLANAR, bead_on_track, helix_track,
 from .systems.seesaw import seesaw_cart, seesaw_ratio_family
 from .targets import TargetSystem
 
-FIXTURES = ("pendulum", "seesaw", "rollercoaster", "double-pendulum")
 COMMANDS = ("verify", "synthesize", "simulate", "rank-scan", "rigidity", "sweep")
-SAMPLING_COMMANDS = ("verify", "rank-scan", "rigidity")
+MAX_SAMPLES = 100_000   # run.samples bound, checked before any point is drawn
 
 
 def _as_map(node, path):
@@ -65,7 +64,7 @@ def _float(node, key, path, default=None, positive=False, nonnegative=False):
     return v
 
 
-def _int(node, key, path, default=None, minimum=None):
+def _int(node, key, path, default=None, minimum=None, maximum=None):
     if key not in node:
         if default is None:
             raise ConfigError("%s.%s: required" % (path, key))
@@ -75,6 +74,8 @@ def _int(node, key, path, default=None, minimum=None):
         raise ConfigError("%s.%s: expected an integer" % (path, key))
     if minimum is not None and v < minimum:
         raise ConfigError("%s.%s: must be >= %d" % (path, key, minimum))
+    if maximum is not None and v > maximum:
+        raise ConfigError("%s.%s: must be <= %d" % (path, key, maximum))
     return v
 
 
@@ -220,6 +221,7 @@ _BUILDERS = {
     "rollercoaster": _build_rollercoaster,
     "double-pendulum": _build_double_pendulum,
 }
+FIXTURES = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -264,19 +266,24 @@ def _parse_run(node, path, n):
         scale = _float(node, "scale", path)
         if scale == 0.0:
             raise ConfigError(path + ".scale: must be nonzero")
+    base = RunSpec()
+
+    def num(key, **checks):
+        return _float(node, key, path, default=getattr(base, key), **checks)
+
     return RunSpec(
-        dt=_float(node, "dt", path, default=1e-3, positive=True),
-        horizon=_float(node, "horizon", path, default=2.0, positive=True),
-        samples=_int(node, "samples", path, default=100, minimum=1),
-        tolerance=_float(node, "tolerance", path, default=1e-9, positive=True),
-        perturbation=_float(node, "perturbation", path, default=0.0,
-                            nonnegative=True),
-        radius=_float(node, "radius", path, default=0.3, positive=True),
+        dt=num("dt", positive=True),
+        horizon=num("horizon", positive=True),
+        samples=_int(node, "samples", path, default=base.samples, minimum=1,
+                     maximum=MAX_SAMPLES),
+        tolerance=num("tolerance", positive=True),
+        perturbation=num("perturbation", nonnegative=True),
+        radius=num("radius", positive=True),
         seed=seed,
         center=_vector(node, "center", path, n),
         initial_position=_vector(node, "initial_position", path, n),
         initial_velocity=_vector(node, "initial_velocity", path, n),
-        ratio_offset=_float(node, "ratio_offset", path, default=0.0),
+        ratio_offset=num("ratio_offset"),
         expect_dimension=expect,
         scale=scale)
 

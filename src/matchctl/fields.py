@@ -126,20 +126,15 @@ class DissipationField(Field):
     """(x, xdot) -> (n,) velocity-dependent force, a field over z = (x, xdot).
 
     Called as c(x, v) on the (x, v) kernel itself; value and derivative
-    take z.  The (n, 2n) derivative, from the stated Jacobians (both or
-    neither) or else finite differences in z, splits into jac_x and jac_v.
+    take z.  derivative(x, v), when stated, returns the (n, 2n) block
+    [d/dx | d/dxdot]; without it Field differences in z.  jac_x and jac_v
+    are the two halves of one derivative evaluation.
     """
 
-    def __init__(self, value: Callable, jac_x: Callable | None = None,
-                 jac_v: Callable | None = None):
-        if (jac_x is None) != (jac_v is None):
-            raise DomainError("state both dissipation Jacobians or neither")
-        derivative = None
-        if jac_x is not None:
-            derivative = _over_z(lambda x, v: np.concatenate(
-                (jac_x(x, v), jac_v(x, v)), axis=-1))
-        super().__init__(_over_z(value), derivative)
-        self._force = value
+    def __init__(self, force: Callable, derivative: Callable | None = None):
+        super().__init__(_over_z(force),
+                         None if derivative is None else _over_z(derivative))
+        self._force = force
 
     def __call__(self, x, v) -> np.ndarray:
         out = np.asarray(self._force(np.asarray(x, dtype=float),
@@ -161,15 +156,15 @@ class DissipationField(Field):
     @classmethod
     def zero(cls, n: int):
         z = np.zeros(n)
-        zz = np.zeros((n, n))
-        return cls(lambda x, v: z, lambda x, v: zz, lambda x, v: zz)
+        zz = np.zeros((n, 2 * n))
+        return cls(lambda x, v: z, lambda x, v: zz)
 
     @classmethod
     def scaled(cls, c: "DissipationField", factor: float):
-        """factor times c, both Jacobians included."""
+        """factor times c; each derivative reads c's derivative once."""
         return cls(lambda x, v: factor * c(x, v),
-                   jac_x=lambda x, v: factor * c.jac_x(x, v),
-                   jac_v=lambda x, v: factor * c.jac_v(x, v))
+                   lambda x, v: factor * c.derivative(
+                       np.concatenate((x, v), axis=-1)))
 
 
 def _over_z(kernel: Callable) -> Callable:

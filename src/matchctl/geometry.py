@@ -299,6 +299,7 @@ def rescale_coordinates(sys: MechanicalSystem, scales) -> MechanicalSystem:
 
     Useful for invariance checks: ranks and kernel dimensions of the
     compatibility analysis must not depend on positive coordinate scalings.
+    The drag's derivative reads the base's once, at the unscaled z.
     """
     d = np.asarray(scales, dtype=float)
     if d.shape != (sys.n,) or np.any(d <= 0):
@@ -314,10 +315,11 @@ def rescale_coordinates(sys: MechanicalSystem, scales) -> MechanicalSystem:
         * np.outer(dinv, dinv)[:, :, None] * dinv[None, None, :])
     pot = ScalarField(lambda xt: sys.potential(back(xt)),
                       lambda xt: sys.potential.gradient(back(xt)) * dinv)
+    zinv = np.concatenate((dinv, dinv))       # z = zt * zinv, both halves
     dis = DissipationField(
         lambda xt, vt: sys.dissipation(back(xt), vt * dinv) * dinv,
-        jac_x=lambda xt, vt: np.outer(dinv, dinv) * sys.dissipation.jac_x(back(xt), vt * dinv),
-        jac_v=lambda xt, vt: np.outer(dinv, dinv) * sys.dissipation.jac_v(back(xt), vt * dinv))
+        lambda xt, vt: np.outer(dinv, zinv) * sys.dissipation.derivative(
+            np.concatenate((xt, vt), axis=-1) * zinv))
     dom = None
     if sys.domain is not None:
         dom = Box(sys.domain.lo * d, sys.domain.hi * d)

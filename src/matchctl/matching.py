@@ -215,13 +215,10 @@ def compatibility_rhs(sys: MechanicalSystem, overlap: Field, x) -> np.ndarray:
     return (basis.weights * (ds - D @ sv[basis.first, basis.second])).ravel()
 
 
-def solvability_residual(sys: MechanicalSystem, overlap, x,
-                         comp: CompatibilitySystem | None = None) -> np.ndarray:
+def solvability_residual(sys: MechanicalSystem, overlap, x) -> np.ndarray:
     """Projections of F onto the left kernel of A: zero iff solvable at x."""
-    if comp is None:
-        comp = assemble_compatibility(sys, x)
     F = compatibility_rhs(sys, overlap, x)
-    return comp.kernel_basis.T @ F
+    return assemble_compatibility(sys, x).kernel_basis.T @ F
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,8 @@ def pendulum_fixture(p: PendulumParams
     sin(-0.0) is -0.0, and not id(x), because an array can be changed in
     place and ids are reused.  The target metric, potential and drag at
     one state, as a closed-loop stage asks for them, thus evaluate the
-    chart and the profiles once.
+    chart and the profiles once.  The drag states one derivative, the
+    (3, 6) block [d/dx | d/dxdot], read from the same point.
     """
     p = p.resolved()
     a, t0, m0 = p.a, p.tilt_ratio, p.sway_ratio
@@ -250,25 +251,23 @@ def pendulum_fixture(p: PendulumParams
         proj = w0 * v0 + v1 + v2
         return np.array((k * w0 * proj, k * proj, k * proj))
 
-    def tdis_jac_v(x, v):
-        c, _, _, _, _, _, k = at(x)
+    # [d/dx | d/dv] of the drag; the v-half on floats, as tdis_val
+    def tdis_der(x, v):
+        c, s, _, _, _, _, k = at(x)
         w0 = -slope * c
         kw = k * w0
-        return np.array(((k * (w0 * w0), kw, kw), (kw, k, k), (kw, k, k)))
-
-    def tdis_jac_x(x, v):
-        wvec = np.array((-slope * math.cos(x[0]), 1.0, 1.0))
-        dw0 = np.array([slope * np.sin(x[0]), 0.0, 0.0])  # d wvec / d x0
-        gr = p.gain.gradient(x)
+        wvec = np.array((w0, 1.0, 1.0))
+        dw0 = np.array((slope * s, 0.0, 0.0))   # d wvec / d x0
         proj = wvec @ v
-        out = -t0 * np.outer(wvec, gr) * proj
-        out[:, 0] += -t0 * p.gain(x) * (dw0 * proj + wvec * (dw0 @ v))
-        return out
+        out = -t0 * np.outer(wvec, p.gain.gradient(x)) * proj
+        out[:, 0] += k * (dw0 * proj + wvec * (dw0 @ v))
+        return np.hstack((out, ((k * (w0 * w0), kw, kw), (kw, k, k),
+                                (kw, k, k))))
 
     target = TargetSystem(
         metric=Field(tmetric_val, tmetric_der),
         potential=ScalarField(tpot_val, tpot_grad),
-        dissipation=DissipationField(tdis_val, tdis_jac_x, tdis_jac_v),
+        dissipation=DissipationField(tdis_val, tdis_der),
         name="pendulum-cart-shaped")
     return sys, ratio, target
 

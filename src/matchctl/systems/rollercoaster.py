@@ -21,6 +21,7 @@ class does not hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -228,15 +229,22 @@ def planar_ratio_family(curve: TrackCurve, b: float, overlap: Profile) -> Field:
     return Field(per_point(rval), per_point(rder))
 
 
+@cache
+def _gauss_legendre() -> tuple:
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False   # shared
+    return nodes, weights
+
+
 def curvature_integral(curve: TrackCurve, b: float, s: float) -> float:
     """Integral of curvature^2/(b sin^2 alpha0) from 0 to s, by QUAD_ORDER-
     point Gauss-Legendre quadrature (exact for the constant-curvature
-    tracks)."""
+    tracks).  The nodes are computed on the first call and kept."""
     a0 = curve.alpha(0.0)
     sa2 = np.sin(a0) ** 2
     if sa2 < LOCUS_GUARD:
         raise DomainError("vertical tangent: chart integral undefined")
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    nodes, weights = _gauss_legendre()
     half = 0.5 * s
     pts = half * (nodes + 1.0)
     vals = np.array([curve.curvature(p) ** 2 for p in pts])
@@ -255,18 +263,22 @@ def incline_chart(curve: TrackCurve, b: float) -> ScalarField:
     ca0, sa0 = np.cos(a0), np.sin(a0)
     b = float(b)
 
-    def value(x):
-        phi, s = x
+    def swing(phi):
         sp, cp = np.sin(phi), np.cos(phi)
         if abs(sp) < LOCUS_GUARD or abs(cp) < LOCUS_GUARD:
             raise SingularLocusError(f"chart singular at swing {phi!r}")
+        return sp, cp
+
+    def value(x):
+        phi, s = x
+        sp, cp = swing(phi)
         beta = curvature_integral(curve, b, s)
         return (beta + ca0 * np.log(abs(1.0 / sp + cp / sp))
                 - sa0 * np.log(abs(1.0 / cp + sp / cp)))
 
     def gradient(x):
         phi, s = x
-        sp, cp = np.sin(phi), np.cos(phi)
+        sp, cp = swing(phi)
         return np.array([-ca0 / sp - sa0 / cp,
                          curve.curvature(s) ** 2 / (b * np.sin(a0) ** 2)])
 

@@ -70,6 +70,16 @@ def test_config_problems_exit_two(tmp_path, capsys):
     assert "run.seed" in capsys.readouterr().err
 
 
+def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    path = _cfg(tmp_path, PENDULUM)
+    for out in (taken, taken / "sub"):
+        assert main(["verify", "--config", path, "--out", str(out)]) == 2
+        assert "output directory %s" % out in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_seed_flag_substitutes_for_the_document(tmp_path, capsys):
     unseeded = {"fixture": {"name": "pendulum"}, "run": {"samples": 10}}
     path = _cfg(tmp_path, unseeded)

@@ -64,6 +64,9 @@ def test_value_typing():
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config({"fixture": {"name": "pendulum"},
                       "run": {"samples": 2.5}})
+    with pytest.raises(ConfigError, match=r"run\.samples: must be <= "):
+        parse_config({"fixture": {"name": "pendulum"},
+                      "run": {"samples": 10 ** 9}})
     with pytest.raises(ConfigError, match="expected 3 entries"):
         parse_config({"fixture": {"name": "pendulum"},
                       "run": {"center": [0.0, 0.0]}})

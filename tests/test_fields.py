@@ -5,6 +5,7 @@ import pytest
 from matchctl.errors import DomainError
 from matchctl.fields import (DissipationField, Field, ScalarField, all_finite,
                              fd_derivative, per_point)
+from matchctl.geometry import MechanicalSystem, rescale_coordinates
 
 rng = np.random.default_rng(2)
 
@@ -108,8 +109,6 @@ def test_dissipation_field_fallback_jacobians():
     assert np.array_equal(c.value(z), c(x, v))
     assert np.array_equal(c.derivative(z),
                           np.hstack((c.jac_x(x, v), c.jac_v(x, v))))
-    with pytest.raises(DomainError):   # a lone stated Jacobian is refused
-        DissipationField(lambda x, v: v, jac_v=lambda x, v: np.eye(2))
 
 
 def test_dissipation_zero_and_linear():
@@ -125,12 +124,42 @@ def test_dissipation_rejects_non_finite():
 
 def test_scale_dissipation():
     base = DissipationField(lambda x, v: 2.0 * v,
-                            jac_x=lambda x, v: np.zeros((2, 2)),
-                            jac_v=lambda x, v: 2.0 * np.eye(2))
+                            lambda x, v: np.hstack((np.zeros((2, 2)),
+                                                    2.0 * np.eye(2))))
     half = DissipationField.scaled(base, 0.5)
     v = np.array([1.0, -3.0])
     assert np.allclose(half(np.zeros(2), v), v)
     assert np.allclose(half.jac_v(np.zeros(2), v), np.eye(2))
+
+
+def _counted_drag():
+    """A drag with a stated derivative, and the list its calls land in."""
+    calls = []
+
+    def der(x, v):
+        calls.append(1)
+        return np.hstack((np.diag(v * np.cos(x)), np.diag(np.sin(x))))
+
+    return DissipationField(lambda x, v: np.sin(x) * v, der), calls
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda c: DissipationField.scaled(c, 0.5),
+    lambda c: DissipationField.scaled(DissipationField.scaled(c, 0.5), 3.0),
+    lambda c: rescale_coordinates(
+        MechanicalSystem(2, 1, Field.constant(np.eye(2)),
+                         ScalarField(lambda x: 0.0, lambda x: np.zeros(2)), c),
+        [0.5, 4.0]).dissipation,
+], ids=["scaled", "scaled-twice", "rescaled"])
+def test_wrapped_drag_reads_its_base_derivative_once(wrap):
+    base, calls = _counted_drag()
+    c = wrap(base)
+    x, v = np.array([0.3, -0.2]), np.array([1.5, 0.7])
+    for read in (lambda: c.derivative(np.concatenate((x, v))),
+                 lambda: c.jac_x(x, v), lambda: c.jac_v(x, v)):
+        calls.clear()
+        read()
+        assert len(calls) == 1
 
 
 def test_fd_derivative_differences_a_stack_along_the_last_axis():

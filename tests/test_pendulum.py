@@ -109,6 +109,40 @@ def test_float_drag_kernels_match_the_array_formula(gain):
         assert np.max(np.abs(got_jv - want_jv)) <= 1e-15 * np.max(np.abs(want_jv))
 
 
+@pytest.mark.parametrize("gain", [
+    cosine_profile(0.4, [0.5, -0.3, 0.8], 0.2, 1.0),
+    quadratic_profile(np.diag([0.3, 0.2, 0.1]), [0.1, -0.2, 0.05], 1.5),
+], ids=["cosine", "quadratic"])
+def test_drag_derivative_halves_equal_the_two_jacobian_formulas(gain):
+    # the two drag Jacobians as separate formulas; the one (3, 6)
+    # derivative splits into exactly their values
+    p = PendulumParams(gain=gain).resolved()
+    _, _, target = pendulum_fixture(p)
+    t0, slope = p.tilt_ratio, p.sway_ratio / p.tilt_ratio
+
+    def jac_v(x, v):
+        k, w0 = -t0 * p.gain(x), -slope * math.cos(x[0])
+        kw = k * w0
+        return np.array(((k * (w0 * w0), kw, kw), (kw, k, k), (kw, k, k)))
+
+    def jac_x(x, v):
+        wvec = np.array((-slope * math.cos(x[0]), 1.0, 1.0))
+        dw0 = np.array([slope * np.sin(x[0]), 0.0, 0.0])
+        proj = wvec @ v
+        out = -t0 * np.outer(wvec, p.gain.gradient(x)) * proj
+        out[:, 0] += -t0 * p.gain(x) * (dw0 * proj + wvec * (dw0 @ v))
+        return out
+
+    local = np.random.default_rng(43)
+    for x in p.domain.sample(local, 25):
+        v = local.uniform(-1, 1, 3)
+        want = np.hstack((jac_x(x, v), jac_v(x, v)))
+        assert np.array_equal(target.dissipation.jac_x(x, v), want[:, :3])
+        assert np.array_equal(target.dissipation.jac_v(x, v), want[:, 3:])
+        assert np.array_equal(
+            target.dissipation.derivative(np.concatenate((x, v))), want)
+
+
 def _reference_kernels(p):
     """The target metric, its derivative and the potential gradient as
     array formulas: each recomputes the chart and reads the profiles

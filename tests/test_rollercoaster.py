@@ -15,6 +15,7 @@ from matchctl.systems import (bead_on_track, curvature_integral, helix_track,
                               incline_chart, incline_ratio_family,
                               planar_ratio_family, validate_curve,
                               vertical_circle_track)
+from matchctl.systems import rollercoaster
 
 rng = np.random.default_rng(5)
 
@@ -148,6 +149,38 @@ def test_curvature_integral_closed_form():
     for s in (0.3, 1.0, -0.2):
         exact = k * k * s / (B * np.sin(a0) ** 2)
         assert abs(curvature_integral(HELIX, B, s) - exact) < 1e-13
+
+
+def test_curvature_integral_computes_its_nodes_once(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return leggauss(order)
+
+    rollercoaster._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    track = helix_track(radius=1.0, climb=0.5)
+    for s in (0.3, 1.0, -0.2, 0.7):
+        # the per-call formula the cached nodes replace
+        nodes, weights = leggauss(rollercoaster.QUAD_ORDER)
+        half = 0.5 * s
+        vals = np.array([track.curvature(q) ** 2 for q in half * (nodes + 1.0)])
+        want = float(half * np.dot(weights, vals)
+                     / (B * np.sin(track.alpha(0.0)) ** 2))
+        assert curvature_integral(track, B, s) == want
+    assert calls == [rollercoaster.QUAD_ORDER]
+
+
+@pytest.mark.parametrize("swing", [0.0, 0.5 * np.pi])
+def test_incline_chart_gradient_is_guarded_like_its_value(swing):
+    chart = incline_chart(helix_track(radius=1.0, climb=0.5), B)
+    x = np.array([swing, 0.3])
+    with pytest.raises(SingularLocusError):
+        chart(x)
+    with pytest.raises(SingularLocusError):
+        chart.gradient(x)
 
 
 def test_incline_chart_and_family():
