@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Grammar: matchctl <command> --config <path> [--out <dir>] [--seed <u64>].
-Exit codes are a stable contract: 0 success, 1 a verification or
-simulation failed, 2 the configuration is invalid.  All randomness is
-seeded and all report formatting is fixed-width decimal, so identical
+Grammar: matchctl <command> --config <path> [--out <dir>] [--seed <u64>],
+one parser for every command.  Exit codes are a stable contract: 0
+success, 1 a verification or simulation failed (or another
+MatchctlError), 2 the configuration is invalid.  verify and rigidity
+sample the plant's domain, which every fixture declares.  All randomness
+is seeded and all report formatting is fixed-width decimal, so identical
 configs and seeds give byte-identical artifacts.
 """
 
@@ -44,16 +46,6 @@ def _emit(cfg: RunConfig, name: str, text: str) -> None:
             fh.write(text)
 
 
-def _sample_points(cfg: RunConfig, rng) -> np.ndarray:
-    box = cfg.fixture.system.domain
-    if box is not None:
-        return box.sample(rng, cfg.run.samples)
-    center = (cfg.run.center if cfg.run.center is not None
-              else cfg.fixture.equilibrium)
-    return center + rng.uniform(-cfg.run.radius, cfg.run.radius,
-                                size=(cfg.run.samples, cfg.fixture.system.n))
-
-
 def _offset_ratio(ratio: Field, offset: float) -> Field:
     """Corruption probe: shift one off-leading entry of the first row."""
     def val(x):
@@ -70,7 +62,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     ratio = bundle.ratio
     if run.ratio_offset != 0.0:
         ratio = _offset_ratio(ratio, run.ratio_offset)
-    points = _sample_points(cfg, rng)
+    points = bundle.system.domain.sample(rng, run.samples)
 
     # maxima below propagate NaN, so a non-finite residual fails the verdict
     t_res = [np.abs(transport_residual(bundle.system, ratio, x)) for x in points]
@@ -153,15 +145,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
                          % (exc.t, ", ".join("%.6e" % v for v in last)))
         return 1
 
-    target_energy = lambda s: energy(target, s)
     deviation = float(np.max(np.abs(plant.states - reference.states)))
     audit = lyapunov_audit(target, plant)
     e0, e1 = audit.energies[0], audit.energies[-1]
 
     if cfg.output_dir:
         out = _out_dir(cfg)
-        trajectory_csv(plant, target_energy, os.path.join(out, "plant.csv"))
-        trajectory_csv(reference, target_energy,
+        trajectory_csv(plant, audit.energies, os.path.join(out, "plant.csv"))
+        trajectory_csv(reference, [energy(target, reference.state_at(i))
+                                   for i in range(reference.times.size)],
                        os.path.join(out, "target.csv"))
     lines = ["fixture: %s" % bundle.name,
              "dt: %.3e  horizon: %.3f  nodes: %d"
@@ -204,7 +196,7 @@ def cmd_rigidity(cfg: RunConfig) -> int:
         raise ConfigError("rigidity runs on the double-pendulum fixture "
                           "(it needs the constant-ratio family)")
     rng = np.random.default_rng(run.require_seed("rigidity"))
-    points = _sample_points(cfg, rng)
+    points = bundle.system.domain.sample(rng, run.samples)
     reports = rigidity_probe(bundle.system, points)
     worst_res = float(np.max([basic_jet_residual(bundle.system, x, bundle.ratio,
                                                  bundle.overlap)
@@ -261,23 +253,16 @@ _DISPATCH = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="matchctl",
         description="Assemble and check matching control laws for "
                     "underactuated plants.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML run document")
-        p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="overrides run.seed")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="YAML run document")
+    parser.add_argument("--out", help="artifact directory")
+    parser.add_argument("--seed", type=int, help="overrides run.seed")
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         cfg = with_overrides(cfg, seed=args.seed, out=args.out)
@@ -287,9 +272,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 2
-    except BlowUpError as exc:
-        sys.stderr.write("simulation blow-up: %s\n" % exc)
-        return 1
     except MatchctlError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -8,7 +8,7 @@ named profile catalog in shapes.py, never from inline expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -28,6 +28,7 @@ from .targets import TargetSystem
 
 COMMANDS = ("verify", "synthesize", "simulate", "rank-scan", "rigidity", "sweep")
 MAX_SAMPLES = 100_000   # run.samples bound, checked before any point is drawn
+_REQUIRED = object()    # the default of a key that has none
 
 
 def _as_map(node, path):
@@ -39,6 +40,11 @@ def _as_map(node, path):
     return node
 
 
+def _names(spec) -> set:
+    """The field names of a spec dataclass: the keys its block allows."""
+    return {f.name for f in fields(spec)}
+
+
 def _check_keys(node, allowed, path):
     for key in node:
         if key not in allowed:
@@ -46,11 +52,12 @@ def _check_keys(node, allowed, path):
                               % (path, key, ", ".join(sorted(allowed))))
 
 
-def _float(node, key, path, default=None, positive=False, nonnegative=False):
+def _float(node, key, path, default=_REQUIRED, positive=False,
+           nonnegative=False):
     if key not in node:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError("%s.%s: required" % (path, key))
-        return float(default)
+        return default
     v = node[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("%s.%s: expected a number" % (path, key))
@@ -64,10 +71,8 @@ def _float(node, key, path, default=None, positive=False, nonnegative=False):
     return v
 
 
-def _int(node, key, path, default=None, minimum=None, maximum=None):
+def _int(node, key, path, default, minimum=None, maximum=None):
     if key not in node:
-        if default is None:
-            raise ConfigError("%s.%s: required" % (path, key))
         return default
     v = node[key]
     if isinstance(v, bool) or not isinstance(v, int):
@@ -135,8 +140,7 @@ class FixtureBundle:
 
 
 def _build_pendulum(params, path):
-    _check_keys(params, {"a", "b", "tilt_ratio", "sway_ratio", "block22",
-                         "block23", "block33", "well", "gain", "domain"}, path)
+    _check_keys(params, _names(PendulumParams), path)
     base = PendulumParams()
     p = PendulumParams(
         a=_float(params, "a", path, default=base.a, positive=True),
@@ -189,8 +193,8 @@ def _build_rollercoaster(params, path):
     family = (planar_ratio_family if curve.case_tag == PLANAR
               else incline_ratio_family)
     ratio = family(curve, b, overlap)
-    eq = sys_.domain.center if sys_.domain is not None else np.zeros(2)
-    return FixtureBundle("rollercoaster", sys_, ratio, None, None, eq)
+    return FixtureBundle("rollercoaster", sys_, ratio, None, None,
+                         sys_.domain.center)
 
 
 def _build_double_pendulum(params, path):
@@ -251,31 +255,24 @@ class RunSpec:
 
 
 def _parse_run(node, path, n):
-    _check_keys(node, {"dt", "horizon", "samples", "tolerance", "perturbation",
-                       "radius", "seed", "center", "initial_position",
-                       "initial_velocity", "ratio_offset", "expect_dimension",
-                       "scale"}, path)
-    seed = None
-    if "seed" in node:
-        seed = _int(node, "seed", path, minimum=0)
-    expect = None
-    if "expect_dimension" in node:
-        expect = _int(node, "expect_dimension", path, minimum=0)
-    scale = None
-    if "scale" in node:
-        scale = _float(node, "scale", path)
-        if scale == 0.0:
-            raise ConfigError(path + ".scale: must be nonzero")
+    _check_keys(node, _names(RunSpec), path)
     base = RunSpec()
 
     def num(key, **checks):
         return _float(node, key, path, default=getattr(base, key), **checks)
 
+    def count(key, **checks):
+        return _int(node, key, path, default=getattr(base, key), **checks)
+
+    seed = count("seed", minimum=0)
+    expect = count("expect_dimension", minimum=0)
+    scale = num("scale")
+    if scale == 0.0:
+        raise ConfigError(path + ".scale: must be nonzero")
     return RunSpec(
         dt=num("dt", positive=True),
         horizon=num("horizon", positive=True),
-        samples=_int(node, "samples", path, default=base.samples, minimum=1,
-                     maximum=MAX_SAMPLES),
+        samples=count("samples", minimum=1, maximum=MAX_SAMPLES),
         tolerance=num("tolerance", positive=True),
         perturbation=num("perturbation", nonnegative=True),
         radius=num("radius", positive=True),
@@ -296,7 +293,7 @@ class SweepSpec:
 
 
 def _parse_sweep(node, path):
-    _check_keys(node, {"key", "values", "command"}, path)
+    _check_keys(node, _names(SweepSpec), path)
     key = node.get("key")
     if not isinstance(key, str) or not key:
         raise ConfigError(path + ".key: required dotted path string")
@@ -354,13 +351,11 @@ def parse_config(doc, source="config") -> RunConfig:
     run = _parse_run(_as_map(doc.get("run"), source + ".run"),
                      source + ".run", bundle.system.n)
 
-    out = None
-    if "output" in doc:
-        onode = _as_map(doc["output"], source + ".output")
-        _check_keys(onode, {"directory"}, source + ".output")
-        out = onode.get("directory")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(source + ".output.directory: expected a string")
+    onode = _as_map(doc.get("output"), source + ".output")
+    _check_keys(onode, {"directory"}, source + ".output")
+    out = onode.get("directory")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(source + ".output.directory: expected a string")
 
     sweep = None
     if "sweep" in doc:

@@ -205,22 +205,24 @@ def simulate(model: MechanicalSystem | TargetSystem, s0: State, T: float,
     return Trajectory(times=times, states=states, controls=controls)
 
 
-def trajectory_csv(traj: Trajectory, energy: Callable[[State], float],
-                   path=None) -> str | None:
+def trajectory_csv(traj: Trajectory, energies, path=None) -> str | None:
     """Serialize a trajectory with 17-significant-digit decimal fields.
 
-    Columns: t, positions, velocities, controls, energy.  Identical
+    Columns: t, positions, velocities, controls, energy, the last from
+    energies, one value per node (LyapunovAudit.energies of the same
+    trajectory fits; any other length is a DomainError).  Identical
     inputs produce byte-identical output.  Returns the text when path is
     None, otherwise writes the file.
     """
+    if len(energies) != traj.times.shape[0]:
+        raise DomainError("trajectory_csv needs one energy per node")
     n = traj.n
     header = (["t"] + [f"x{i}" for i in range(n)] + [f"xd{i}" for i in range(n)]
               + [f"u{i}" for i in range(n)] + ["energy"])
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for i in range(traj.times.shape[0]):
-        row = [traj.times[i], *traj.states[i], *traj.controls[i],
-               energy(traj.state_at(i))]
+        row = [traj.times[i], *traj.states[i], *traj.controls[i], energies[i]]
         buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
     text = buf.getvalue()
     if path is None:

@@ -29,17 +29,19 @@ def chained_pendulums(masses, weights=(1.0, 1.0, 1.0),
         raise DomainError("mass entries and weights must be positive")
     np.linalg.cholesky(m)   # PD at the origin, where g equals masses
 
+    # Each kernel takes one point or a stack (..., 3): the differences
+    # x_i - x_j and the output axes sit after the stack axes.
     def gval(x):
-        diff = x[:, None] - x[None, :]
+        diff = x[..., :, None] - x[..., None, :]
         return m * np.cos(diff)
 
     def gder(x):
-        diff = x[:, None] - x[None, :]
+        diff = x[..., :, None] - x[..., None, :]
         sm = -m * np.sin(diff)
-        d = np.zeros((3, 3, 3))
+        d = np.zeros(x.shape[:-1] + (3, 3, 3))
         for k in range(3):
-            d[k, :, k] += sm[k, :]
-            d[:, k, k] -= sm[:, k]
+            d[..., k, :, k] += sm[..., k, :]
+            d[..., :, k, k] -= sm[..., :, k]
         return d
 
     if domain is None:
@@ -47,9 +49,8 @@ def chained_pendulums(masses, weights=(1.0, 1.0, 1.0),
     return MechanicalSystem(
         n=3, m=2,
         metric=Field(gval, gder),
-        potential=ScalarField(
-            lambda x: float(w @ np.cos(x)),
-            lambda x: -w * np.sin(x)),
+        potential=ScalarField(lambda x: np.cos(x) @ w,
+                              lambda x: -w * np.sin(x)),
         dissipation=DissipationField.zero(3),
         params={"masses": m, "weights": w},
         domain=domain,
@@ -70,18 +71,21 @@ def terminal_family(masses, leading_overlap: float
     rows = np.zeros((2, 3))
     rows[0, 0] = rows[1, 1] = scale
 
+    # one point or a stack, as the plant's kernels; out.T[j, i] is entry
+    # (i, j) of every output
     def oval(x):
-        c01 = np.cos(x[0] - x[1])
-        return scale * np.array([
-            [m[0, 0], m[0, 1] * c01],
-            [m[0, 1] * c01, m[1, 1]]])
+        o = np.empty(x.shape[:-1] + (2, 2))
+        ot = o.T
+        ot[0, 0], ot[1, 1] = scale * m[0, 0], scale * m[1, 1]
+        ot[1, 0] = ot[0, 1] = scale * (m[0, 1] * np.cos(x.T[0] - x.T[1]))
+        return o
 
     def oder(x):
-        s01 = np.sin(x[0] - x[1])
-        d = np.zeros((2, 2, 3))
-        off = -scale * m[0, 1] * s01
-        d[0, 1, 0] = d[1, 0, 0] = off
-        d[0, 1, 1] = d[1, 0, 1] = -off
+        d = np.zeros(x.shape[:-1] + (2, 2, 3))
+        dt = d.T                  # dt[k, j, i] is d o_ij / d x_k
+        off = -scale * m[0, 1] * np.sin(x.T[0] - x.T[1])
+        dt[0, 1, 0] = dt[0, 0, 1] = off
+        dt[1, 1, 0] = dt[1, 0, 1] = -off
         return d
 
     return Field.constant(rows), Field(oval, oder)

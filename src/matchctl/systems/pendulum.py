@@ -103,9 +103,10 @@ class PendulumParams:
     domain: Box | None = None
 
     def resolved(self) -> "PendulumParams":
-        """These parameters with unset entries filled in; DomainError for a
-        zero tilt_ratio or a profile of the wrong dimension (2 for the
-        blocks and the well, 3 for the gain)."""
+        """These parameters with unset shaping entries filled in; DomainError
+        for a zero tilt_ratio or a profile of the wrong dimension (2 for
+        the blocks and the well, 3 for the gain).  The domain is left as
+        given: pendulum_cart fills in its own box when it is None."""
         if self.tilt_ratio == 0.0:
             raise DomainError("tilt_ratio must be nonzero")
         fill = {}
@@ -121,8 +122,6 @@ class PendulumParams:
                                              offset=-1.0 / self.tilt_ratio)
         if self.gain is None:
             fill["gain"] = constant_profile(1.0, dim=3)
-        if self.domain is None:
-            fill["domain"] = Box(lo=(-0.4, -1.0, -1.0), hi=(0.4, 1.0, 1.0))
         res = replace(self, **fill) if fill else self
         for name, dim in (("block22", 2), ("block23", 2), ("block33", 2),
                           ("well", 2), ("gain", 3)):
@@ -156,8 +155,8 @@ def pendulum_fixture(p: PendulumParams
 
     The target's kernels take one point and share one evaluation of it:
     cos x0, sin x0, the chart point (u, v) = (x1 - slope sin x0, x2) of the
-    ratio flow, the jets of the three blocks and the well at (u, v) and the
-    drag gain at x, all on Python floats.  The last point's evaluation is
+    ratio flow, the jets of the three blocks and the well at (u, v) and of
+    the drag gain at x, all on Python floats.  The last point's evaluation is
     kept, keyed on x.tobytes(): the bytes, because -0.0 == 0.0 while
     sin(-0.0) is -0.0, and not id(x), because an array can be changed in
     place and ids are reused.  The target metric, potential and drag at
@@ -191,8 +190,9 @@ def pendulum_fixture(p: PendulumParams
     last = [None]            # (key, evaluation) of the last point
 
     def at(x):
-        """(c, s, b22, b23, b33, well, k) at x: each b and the well a jet
-        (h, (h_u, h_v)) on the chart, k = -t0 gain(x)."""
+        """(c, s, b22, b23, b33, well, (k, dg)) at x: each b and the well a
+        jet (h, (h_u, h_v)) on the chart, k = -t0 gain(x) and dg the gain's
+        gradient at x."""
         key = x.tobytes()
         hit = last[0]
         if hit is not None and hit[0] == key:
@@ -201,8 +201,9 @@ def pendulum_fixture(p: PendulumParams
         x0, x1, x2 = pt
         c, s = math.cos(x0), math.sin(x0)
         y = (x1 - slope * s, x2)
+        gv, dg = gain(pt)
         out = (c, s, block22(y), block23(y), block33(y), well(y),
-               -t0 * gain(pt)[0])
+               (-t0 * gv, dg))
         last[0] = (key, out)
         return out
 
@@ -245,7 +246,7 @@ def pendulum_fixture(p: PendulumParams
 
     # drag -t0 gain(x) w (w . v) along w = (-slope cos x0, 1, 1)
     def tdis_val(x, v):
-        c, _, _, _, _, _, k = at(x)
+        c, _, _, _, _, _, (k, _) = at(x)
         w0 = -slope * c
         v0, v1, v2 = v.tolist()
         proj = w0 * v0 + v1 + v2
@@ -253,13 +254,13 @@ def pendulum_fixture(p: PendulumParams
 
     # [d/dx | d/dv] of the drag; the v-half on floats, as tdis_val
     def tdis_der(x, v):
-        c, s, _, _, _, _, k = at(x)
+        c, s, _, _, _, _, (k, dg) = at(x)
         w0 = -slope * c
         kw = k * w0
         wvec = np.array((w0, 1.0, 1.0))
         dw0 = np.array((slope * s, 0.0, 0.0))   # d wvec / d x0
         proj = wvec @ v
-        out = -t0 * np.outer(wvec, p.gain.gradient(x)) * proj
+        out = -t0 * np.outer(wvec, dg) * proj
         out[:, 0] += k * (dw0 * proj + wvec * (dw0 @ v))
         return np.hstack((out, ((k * (w0 * w0), kw, kw), (kw, k, k),
                                 (kw, k, k))))

@@ -6,9 +6,10 @@ import pytest
 
 import os
 
-from matchctl import (Field, MechanicalSystem, State, characteristics,
-                      complete_metric_rows, flow_map, row_identity_check,
-                      scaling_solution, transport_target_data)
+from matchctl import (DissipationField, Field, MechanicalSystem, ScalarField,
+                      State, characteristics, complete_metric_rows, flow_map,
+                      row_identity_check, scaling_solution,
+                      transport_target_data)
 from matchctl.characteristics import (FIELD_FLOOR, PLANE_HIT_TOL,
                                       CharacteristicGrid, grid_csv)
 from matchctl.config import load_config
@@ -651,3 +652,68 @@ def test_transport_fields_answer_a_stack_as_each_point(name):
         assert stacked.shape[0] == pts.shape[0]
         for p, row in zip(pts, stacked):
             assert np.array_equal(row, method(p))
+
+
+def _line_flow(rate):
+    """Ratio (1, rate x1) on the flat plane: the characteristics
+    x1(t) = x1(0) exp(rate t) converge for rate < 0 and spread for rate > 0."""
+    plane = MechanicalSystem(n=2, m=1, metric=Field.constant(np.eye(2)),
+                             potential=ScalarField.constant(0.0),
+                             dissipation=DissipationField.zero(2))
+
+    def rval(x):
+        r = np.ones(x.shape[:-1] + (1, 2))
+        r[..., 0, 1] = rate * x[..., 1]
+        return r
+
+    def rder(x):
+        d = np.zeros(x.shape[:-1] + (1, 2, 2))
+        d[..., 0, 1, 1] = rate
+        return d
+
+    return transport_target_data(
+        plane, Field(rval, rder), lambda x: np.eye(1), lambda x: 0.0,
+        anchor=np.zeros(2), times=np.linspace(0.0, 1.0, 11),
+        seed_values=[(1, np.linspace(-0.5, 0.5, 5))], dt=1e-2)
+
+
+def test_converging_characteristics_are_flagged():
+    # seeds 0.25 apart close to 0.25 exp(-2t), under half the spacing
+    # from t = ln 2 / 2 ~ 0.347 on: first at the stored node t = 0.4
+    crossing = [w for w in _line_flow(-2.0).warnings
+                if w.startswith("characteristics approach")]
+    assert crossing == ["characteristics approach within 1.123e-01 "
+                        "(< 1.250e-01 lattice resolution) near stored node 4; "
+                        "interpolation is unreliable there"]
+    assert not any(w.startswith("characteristics approach")
+                   for w in _line_flow(2.0).warnings)
+
+
+def test_interpolation_on_a_single_valued_seed_axis():
+    # seeds on the line x1 = 0 of the plane x0 = 0: queries whose flow
+    # meets the plane on that line interpolate in x2 and time only
+    grid = transport_target_data(
+        SYS, RATIO, initial_block=lambda x: TARGET.metric.value(x)[1:, 1:],
+        initial_potential=lambda x: float(TARGET.potential(x)),
+        anchor=np.zeros(3), times=np.linspace(-0.5, 0.5, 51),
+        seed_values=[(1, np.array([0.0])), (2, np.linspace(-0.5, 0.5, 5))],
+        dt=2e-3)
+    assert grid.seed_shape == (1, 5)
+    k, j = 3, 17
+    gh, vh = grid.interpolate(grid.states[k, j])
+    assert np.max(np.abs(gh - grid.metric[k, j])) <= 1e-9
+    assert abs(vh - grid.potential[k, j]) <= 1e-9
+
+    # off the nodes: the metric varies in time only (spacing 0.02), the
+    # quadratic well across x2 (spacing 0.25, off by <= 2 * 0.25**2 / 4)
+    qrng = np.random.default_rng(5)
+    for _ in range(20):
+        v, t = qrng.uniform(-0.45, 0.45, 2)
+        q = flow_map(RATIO, np.array([0.0, 0.0, v]), t)
+        gh, vh = grid.interpolate(q)
+        assert np.max(np.abs(gh - TARGET.metric.value(q))) <= 2.5e-3
+        assert abs(vh - float(TARGET.potential(q))) <= 3.2e-2
+
+    off = flow_map(RATIO, np.array([0.0, 0.1, 0.2]), 0.2)
+    with pytest.raises(DomainError, match="no seed variation along axis 1"):
+        grid.interpolate(off)

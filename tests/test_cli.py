@@ -1,14 +1,17 @@
 """End-to-end runs of the command-line front end through main(argv)."""
+import ast
 import os
 
 import numpy as np
 import pytest
 import yaml
 
-from matchctl import cli
+from matchctl import cli, synthesis
 from matchctl.cli import main
+from matchctl.geometry import energy
 
-CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
 
 PENDULUM = {
     "fixture": {"name": "pendulum", "params": {"a": 0.5, "b": 0.5}},
@@ -277,3 +280,114 @@ def test_argparse_contract():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["verify"])  # --config is required
+
+
+def _pipeline_commands():
+    """(command, config) pairs of the benchmark's cli-pipeline workload,
+    read from perfbench/workloads.py without running it."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    pipeline = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                    and node.name == "CliPipeline")
+    return next(ast.literal_eval(stmt.value) for stmt in pipeline.body
+                if isinstance(stmt, ast.Assign)
+                and getattr(stmt.targets[0], "id", None) == "COMMANDS")
+
+
+def test_shipped_configs_run_twice_to_the_same_bytes(tmp_path, capsys):
+    commands = _pipeline_commands()
+    assert len(commands) == 9
+    rounds = []
+    for r in range(2):
+        seen = {}
+        for command, name in commands:
+            out = tmp_path / ("round-%d" % r) / ("%s.%s" % (command, name))
+            code = main([command, "--config",
+                         os.path.join(CONFIGS, name + ".yaml"),
+                         "--seed", "1", "--out", str(out)])
+            assert code == 0, (command, name)
+            seen[command, name] = (capsys.readouterr().out, {
+                f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        rounds.append(seen)
+    assert rounds[0] == rounds[1]
+
+
+def test_simulate_reads_each_node_energy_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(model, s):
+        calls.append(model)
+        return energy(model, s)
+
+    monkeypatch.setattr(synthesis, "energy", counted)
+    monkeypatch.setattr(cli, "energy", counted)
+    doc = dict(PENDULUM, run={"dt": 0.01, "horizon": 0.2,
+                              "initial_position": [0.1, -0.1, 0.1]})
+    out_dir = tmp_path / "art"
+    assert main(["simulate", "--config", _cfg(tmp_path, doc),
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    steps = 20
+    # the audit reads the plant's nodes, the CSV adds the reference's
+    assert len(calls) == 2 * (steps + 1)
+    rows = (out_dir / "plant.csv").read_text().splitlines()[1:]
+    assert len(rows) == steps + 1
+
+
+def test_simulate_perturbs_the_start_by_the_seeded_nudge(tmp_path, capsys):
+    doc = dict(PENDULUM, run={"dt": 0.01, "horizon": 0.1,
+                              "perturbation": 0.05})
+    path = _cfg(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == 2   # the nudge is seeded
+    assert "run.seed" in capsys.readouterr().err
+
+    def start(seed):
+        out_dir = tmp_path / ("seed-%d" % seed)
+        assert main(["simulate", "--config", path, "--seed", str(seed),
+                     "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        text = (out_dir / "plant.csv").read_text()
+        first = np.array(text.splitlines()[1].split(","), dtype=float)
+        return text, first[1:7]           # x and xdot at t = 0
+
+    text, s0 = start(3)
+    # the equilibrium at rest, moved by a nudge of norm run.perturbation
+    assert abs(np.linalg.norm(s0) - 0.05) <= 1e-15
+    assert start(3)[0] == text
+    assert not np.array_equal(start(4)[1], s0)
+
+
+def test_simulate_reports_a_blow_up_and_exits_one(tmp_path, capsys):
+    doc = dict(PENDULUM, run={"dt": 0.01, "horizon": 1.0,
+                              "initial_velocity": [0.0, 1.0e5, 0.0]})
+    out_dir = tmp_path / "art"
+    assert main(["simulate", "--config", _cfg(tmp_path, doc),
+                 "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("blow-up at t=")
+    assert "last state [" in captured.out
+    assert captured.err == ""
+    assert not out_dir.exists()          # no report or CSV for a broken run
+
+
+def test_verify_samples_inside_a_configured_domain(tmp_path, capsys,
+                                                   monkeypatch):
+    seen = []
+    real = cli.transport_residual
+
+    def recording(system, ratio, x):
+        seen.append(x)
+        return real(system, ratio, x)
+
+    monkeypatch.setattr(cli, "transport_residual", recording)
+    lo, hi = np.array([0.5, 2.0, -3.0]), np.array([0.6, 3.0, -2.0])
+    doc = dict(PENDULUM)
+    doc["fixture"] = {"name": "pendulum", "params": dict(
+        PENDULUM["fixture"]["params"],
+        domain={"lo": lo.tolist(), "hi": hi.tolist()})}
+    assert main(["verify", "--config", _cfg(tmp_path, doc)]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    pts = np.array(seen)
+    assert pts.shape == (PENDULUM["run"]["samples"], 3)
+    assert np.all((pts >= lo) & (pts <= hi))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from matchctl import Box, MechanicalSystem, State, TargetSystem
-from matchctl.config import load_config
+from matchctl.config import load_config, override_key, parse_config
 from matchctl.errors import (DomainError, SingularMetricError,
                              SingularTargetError)
 from matchctl.fields import DissipationField, Field, ScalarField
@@ -237,11 +237,24 @@ CONFIG_NAMES = ["pendulum", "pendulum-upright", "seesaw", "rollercoaster",
                 "double-pendulum"]
 
 
+def _shipped_bundles():
+    """Every shipped fixture bundle, plus the bead on the helix track."""
+    out = {name: load_config(os.path.join(CONFIGS, name + ".yaml"))
+           for name in CONFIG_NAMES}
+    helix = override_key(out["rollercoaster"].raw, "fixture.params.track",
+                         {"shape": "helix", "radius": 1.5, "climb": 0.6})
+    out["rollercoaster-helix"] = parse_config(helix)
+    return {name: cfg.fixture for name, cfg in out.items()}
+
+
+BUNDLES = _shipped_bundles()
+
+
 def _shipped_models():
     """(label, model, box) for every shipped plant and closed-form target."""
     out = []
     for name in CONFIG_NAMES:
-        fix = load_config(os.path.join(CONFIGS, name + ".yaml")).fixture
+        fix = BUNDLES[name]
         out.append((name + ".plant", fix.system, fix.system.domain))
         if fix.target is not None:
             out.append((name + ".target", fix.target, fix.system.domain))
@@ -249,6 +262,26 @@ def _shipped_models():
 
 
 SHIPPED = _shipped_models()
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_shipped_kernels_answer_a_stack_as_each_point(name, k):
+    """A stack (k, n) is answered as its points one by one (fields.py's
+    contract), by the plant and by the fixture's ratio and overlap."""
+    fix = BUNDLES[name]
+    sys = fix.system
+    methods = [sys.metric.value, sys.metric.derivative, sys.potential.value,
+               sys.potential.gradient]
+    for extra in (fix.ratio, fix.overlap):
+        if extra is not None:
+            methods += [extra.value, extra.derivative]
+    pts = sys.domain.sample(np.random.default_rng(40 + k), k)
+    for method in methods:
+        stacked = method(pts)
+        want = np.array([method(p) for p in pts])
+        assert stacked.shape == want.shape
+        assert np.allclose(stacked, want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("label, model, box", SHIPPED,

@@ -9,7 +9,8 @@ from matchctl.errors import DomainError
 from matchctl.fields import Field, fd_derivative
 from matchctl.matching import (overlap_matrix, recover_ratio,
                                solvability_residual)
-from matchctl.shapes import constant_profile, cosine_profile, quadratic_profile
+from matchctl.shapes import (Profile, constant_profile, cosine_profile,
+                             quadratic_profile)
 from matchctl.systems import (PendulumParams, pendulum_cart, pendulum_fixture,
                               pendulum_ratio_family, upright_stability_check)
 
@@ -117,7 +118,7 @@ def test_drag_derivative_halves_equal_the_two_jacobian_formulas(gain):
     # the two drag Jacobians as separate formulas; the one (3, 6)
     # derivative splits into exactly their values
     p = PendulumParams(gain=gain).resolved()
-    _, _, target = pendulum_fixture(p)
+    plant, _, target = pendulum_fixture(p)
     t0, slope = p.tilt_ratio, p.sway_ratio / p.tilt_ratio
 
     def jac_v(x, v):
@@ -134,13 +135,37 @@ def test_drag_derivative_halves_equal_the_two_jacobian_formulas(gain):
         return out
 
     local = np.random.default_rng(43)
-    for x in p.domain.sample(local, 25):
+    for x in plant.domain.sample(local, 25):
         v = local.uniform(-1, 1, 3)
         want = np.hstack((jac_x(x, v), jac_v(x, v)))
         assert np.array_equal(target.dissipation.jac_x(x, v), want[:, :3])
         assert np.array_equal(target.dissipation.jac_v(x, v), want[:, 3:])
         assert np.array_equal(
             target.dissipation.derivative(np.concatenate((x, v))), want)
+
+
+def test_drag_derivative_reads_the_gain_jet_of_its_shared_point():
+    # the shared point keeps the gain's gradient with its value, so the
+    # drag derivative evaluates the gain's jet only at a new point
+    base = cosine_profile(0.4, [0.5, -0.3, 0.8], 0.2, 1.0)
+    calls = []
+
+    def jet(y):
+        calls.append(y)
+        return base.jet(y)
+
+    p = PendulumParams(gain=Profile(jet, base.hessian, 3))
+    _, _, target = pendulum_fixture(p)
+    _, _, plain = pendulum_fixture(PendulumParams(gain=base))
+    x, v = np.array([0.15, -0.2, 0.3]), np.array([0.4, -0.1, 0.25])
+    z = np.concatenate((x, v))
+    got = target.dissipation.derivative(z)
+    assert len(calls) == 1
+    assert np.array_equal(got, plain.dissipation.derivative(z))
+    calls.clear()
+    assert np.array_equal(target.dissipation.jac_v(x, v), got[:, 3:])
+    assert np.array_equal(target.dissipation.jac_x(x, v), got[:, :3])
+    assert calls == []
 
 
 def _reference_kernels(p):

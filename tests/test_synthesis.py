@@ -316,7 +316,7 @@ def test_zero_gain_loop_conserves_shaped_energy():
 def test_trajectory_csv_layout_and_determinism(tmp_path):
     traj = simulate(SYS, S0, T=0.05, dt=1e-2,
                     controller=matched_controller(SYS, TARGET))
-    shaped = lambda s: energy(TARGET, s)
+    shaped = lyapunov_audit(TARGET, traj).energies
     text = trajectory_csv(traj, shaped)
     lines = text.splitlines()
     assert lines[0] == "t,x0,x1,x2,xd0,xd1,xd2,u0,u1,u2,energy"
@@ -324,11 +324,20 @@ def test_trajectory_csv_layout_and_determinism(tmp_path):
     assert text.endswith("\n")
     assert trajectory_csv(traj, shaped) == text
     last = lines[-1].split(",")
-    assert abs(float(last[-1]) - shaped(traj.state_at(-1))) <= 1e-12
+    assert abs(float(last[-1]) - energy(TARGET, traj.state_at(-1))) <= 1e-12
 
     out = tmp_path / "run.csv"
     assert trajectory_csv(traj, shaped, path=str(out)) is None
     assert out.read_text() == text
+
+
+def test_trajectory_csv_takes_one_energy_per_node():
+    traj = simulate(SYS, S0, T=0.05, dt=1e-2,
+                    controller=matched_controller(SYS, TARGET))
+    energies = lyapunov_audit(TARGET, traj).energies
+    for wrong in (energies[:-1], np.append(energies, 0.0)):
+        with pytest.raises(DomainError, match="one energy per node"):
+            trajectory_csv(traj, wrong)
 
 
 def test_linearization_agrees_with_the_block_form():
