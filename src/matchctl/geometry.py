@@ -12,6 +12,7 @@ u_a = 0 for a = 1..m.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -201,14 +202,20 @@ def force(model: Model, s: State) -> np.ndarray:
     derivative d[i,j,k] = d g_ij / d x_k, without forming the first-kind
     symbols: G[j,k,r] xd^j xd^k = xd^i (d[i,r,k] xd^k - d[i,j,r] xd^j / 2).
     Evaluated once per state and model (see State): one metric
-    derivative, one dissipation and one potential gradient; read-only."""
+    derivative, one dissipation and one potential gradient; read-only.
+    A metric derivative or dissipation that is not finite, or a potential
+    gradient with a NaN entry, is a DomainError.  An infinite gradient at
+    a finite state is an overflow, which simulate reports as a blow-up."""
     entry = s.memo(model)
     f = entry.get("force")
     if f is None:
         x, v = s.x, s.xdot
         d = metric_derivative(model, x)
-        f = (np.dot(v, np.dot(d, v) - 0.5 * np.dot(v, d))
-             + model.dissipation(x, v) + model.potential.gradient(x))
+        drag = model.dissipation(x, v)
+        grad = model.potential.gradient(x)
+        if any(map(math.isnan, grad.ravel().tolist())):
+            raise DomainError("potential gradient has non-finite entries")
+        f = np.dot(v, np.dot(d, v) - 0.5 * np.dot(v, d)) + drag + grad
         f.setflags(write=False)
         entry["force"] = f
     return f

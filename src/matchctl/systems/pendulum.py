@@ -170,8 +170,11 @@ def pendulum_fixture(p: PendulumParams
     slope = m0 / t0          # chart slope, also the dissipation direction weight
     ca = a / t0
 
-    # one point or a stack, as pendulum_cart's kernels
+    # one point or a stack, as pendulum_cart's kernels; one point, the
+    # seed-plane walk's query, is answered from math.cos in one array
     def rval(x):
+        if x.ndim == 1:
+            return np.array([[t0, m0 * math.cos(x[0]), 0.0]])
         r = np.zeros(x.shape[:-1] + (1, 3))
         rt = r.T
         rt[0, 0] = t0

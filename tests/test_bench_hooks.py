@@ -13,6 +13,7 @@ import pytest
 from matchctl import characteristics, matching, synthesis
 from matchctl.config import load_config
 from matchctl.geometry import State
+from matchctl.systems import rigidity
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(f for f in os.listdir(os.path.join(ROOT, "configs"))
@@ -187,3 +188,56 @@ def test_traced_queries_match_the_plain_walk():
              if parent in walks}
     assert len(walks) == len(queries)
     assert inner == {"fields.ratio.value"}
+
+
+def test_traced_sample_audit_inputs_match_the_plain_points():
+    # built as the sample-audit workload builds its traced inputs: one
+    # traced bundle per audited config, the pendulum's with a traced target
+    cfgs = {name: load_config(os.path.join(ROOT, "configs", name + ".yaml"))
+            for name in ("pendulum", "seesaw", "rollercoaster",
+                         "double-pendulum")}
+    plain = {name: cfg.fixture for name, cfg in cfgs.items()}
+    rec = SPANS.Recorder("hooks")
+    traced = {name: rec.bundle(b) for name, b in plain.items()}
+    rng = np.random.default_rng(3)
+
+    def point(name):
+        return plain[name].system.domain.sample(rng, 1)[0]
+
+    def rank_point(name):
+        cfg = cfgs[name]
+        center = (cfg.run.center if cfg.run.center is not None
+                  else cfg.fixture.equilibrium)
+        return center, center + rng.uniform(-cfg.run.radius, cfg.run.radius,
+                                            size=cfg.fixture.system.n)
+
+    x = point("pendulum")
+    s = State(x, rng.standard_normal(x.size))
+    y = point("double-pendulum")
+    ranks = {name: rank_point(name) for name in ("seesaw", "rollercoaster")}
+    calls = {
+        "matching.matching_residual": lambda b: matching.matching_residual(
+            b["pendulum"].system, b["pendulum"].ratio, b["pendulum"].target,
+            s),
+        "rigidity.basic_jet_residual": lambda b: rigidity.basic_jet_residual(
+            b["double-pendulum"].system, y, b["double-pendulum"].ratio,
+            b["double-pendulum"].overlap),
+        "matching.rank_condition": lambda b: [
+            matching.rank_condition(b[name].system, center, [z],
+                                    radius=cfgs[name].run.radius)
+            for name, (center, z) in ranks.items()],
+        "rigidity.rigidity_probe": lambda b: rigidity.rigidity_probe(
+            b["double-pendulum"].system, [y]),
+    }
+    for name, call in calls.items():
+        want = call(plain)
+        rec.install()
+        try:
+            got = call(traced)
+        finally:
+            rec.uninstall()
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+        assert name in {rec.names[i] for i in rec.name_id}, name

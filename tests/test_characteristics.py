@@ -101,6 +101,27 @@ def test_flow_map_refuses_a_dying_field():
         flow_map(decaying, np.array([0.0, 0.2, 0.0]), 40.0, dt=1e-2)
 
 
+@pytest.mark.parametrize("row", [
+    [0.0, 0.0, 0.0], [np.nextafter(FIELD_FLOOR, 0.0), 0.0, 0.0],
+    [0.5, np.nan, 0.0], [np.inf, 0.0, 1.0], [0.0, 1.0, -np.inf],
+    [1e200, 0.0, 0.0], [0.0, -1e155, 1e155],
+], ids=["zero", "below-floor", "nan", "inf", "minus-inf", "overflow",
+        "overflow-split"])
+def test_flow_guard_refuses_a_vanishing_or_non_finite_row(row):
+    # the last two are finite rows whose squared norm overflows
+    field = Field(lambda x: np.array([row]))
+    with pytest.raises(SingularFieldError):
+        characteristics._drive_row(field, np.zeros(3))
+
+
+@pytest.mark.parametrize("row", [[FIELD_FLOOR, 0.0, 0.0],
+                                 [0.0, -FIELD_FLOOR, 0.0]])
+def test_flow_guard_passes_a_row_at_the_floor(row):
+    got = characteristics._drive_row(Field(lambda x: np.array([row])),
+                                     np.zeros(3))
+    assert np.array_equal(got, row)
+
+
 def test_complete_metric_rows_reproduces_the_target():
     for _ in range(20):
         x = rng.uniform(-1, 1, 3)

@@ -15,7 +15,7 @@ from matchctl.errors import (BlowUpError, DomainError, MatchctlError,
 from matchctl.fields import fd_derivative
 from matchctl.geometry import acceleration, christoffel_from_derivative, energy
 from matchctl.matching import actuated_scalar_field, matching_residual
-from matchctl.rk4 import rk4_step
+from matchctl.rk4 import SMALL_STATE, rk4_step
 from matchctl.shapes import constant_profile
 from matchctl.synthesis import (analytic_rest_linearization, germ_check,
                                 linear_gains_from_blocks,
@@ -156,6 +156,31 @@ def test_overflow_inside_a_step_is_a_blowup():
     assert np.array_equal(err.value.state.xdot, s0.xdot)
 
 
+def _nan_gradient(model):
+    return dataclasses.replace(model, potential=ScalarField(
+        model.potential.value, lambda x: np.full(np.shape(x), np.nan)))
+
+
+@pytest.mark.parametrize("side", ["target", "plant", "closed-target",
+                                  "closed-plant"])
+def test_nan_potential_gradient_is_a_domain_error(side):
+    # a NaN gradient at a finite state is the field's defect, not a blow-up
+    rest = State(np.zeros(3), np.zeros(3))
+    law = None
+    if side == "target":
+        model = _nan_gradient(TARGET)
+    elif side == "plant":
+        model = _nan_gradient(SYS)
+    elif side == "closed-target":
+        model, law = SYS, matched_controller(SYS, _nan_gradient(TARGET))
+    else:
+        model = _nan_gradient(SYS)
+        law = matched_controller(model, TARGET)
+    with pytest.raises(DomainError,
+                       match="potential gradient has non-finite entries"):
+        simulate(model, rest, T=0.01, dt=1e-3, controller=law)
+
+
 @pytest.mark.parametrize("source", ["field", "controller"])
 def test_domain_error_at_a_finite_stage_stays_a_domain_error(source):
     def fence(x):
@@ -274,6 +299,36 @@ def test_rk4_step_reuses_a_given_first_slope():
     reused = rk4_step(f, z, 0.05, k1)
     assert len(calls) == 8
     assert np.array_equal(reused, plain)
+
+
+def _rk4_array_formula(f, z, h, k1=None):
+    if k1 is None:
+        k1 = f(z)
+    k2 = f(z + 0.5 * h * k1)
+    k3 = f(z + 0.5 * h * k2)
+    k4 = f(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (SMALL_STATE,),
+                                   (SMALL_STATE + 1,), (6,), (4, 3)])
+def test_rk4_step_is_the_array_formula_bit_for_bit(shape):
+    # states up to SMALL_STATE entries are stepped on Python floats, the
+    # rest (and stacks) as arrays; both must give the formula's bits
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal((shape[-1], shape[-1]))
+
+    def f(z):
+        return np.tanh(z @ a.T) - 0.3 * z * z
+
+    for _ in range(5):
+        z = rng.standard_normal(shape)
+        for h in (0.037, -0.037):
+            for k1 in (None, f(z)):
+                got = rk4_step(f, z, h, k1)
+                want = _rk4_array_formula(f, z, h, k1)
+                assert got.dtype == np.float64 and got.shape == z.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_rest_point_holds_exactly():
